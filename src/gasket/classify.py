@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import (GasketError, InvalidQuadrupleError, Matrix, Row, Scalar,
-                   canon, canon_matrix, canon_row, divisor,
-                   extend_to_augmented, mat_mul, mat_neg, orientation,
-                   validate_quadruple)
-from .group import (ALL_PERMUTATIONS, GeneratorLetter, GroupWord, apply,
-                    generator_matrix, perm_matrix)
+from .core import (GasketError, InvalidQuadrupleError, Matrix, Scalar, canon,
+                   canon_matrix, divisor, extend_to_augmented, mat_neg,
+                   orientation, validate_quadruple)
+from .group import (ALL_LETTERS, ALL_PERMUTATIONS, GeneratorLetter, GroupWord,
+                    act, apply, letter)
 
 
 class ReductionError(GasketError):
@@ -31,16 +29,9 @@ def _size(v: Sequence[Scalar]) -> Scalar:
     return sum(v)
 
 
-def _flip(v: Tuple[Scalar, ...], i: int) -> Tuple[Scalar, ...]:
-    new = 2 * (sum(v) - v[i]) - v[i]
-    return v[:i] + (canon(new),) + v[i + 1:]
-
-
-def _perp_flip(v: Tuple[Scalar, ...], i: int) -> Tuple[Scalar, ...]:
-    # Action of the transposed generator on the curvature column.
-    return tuple(canon(-v[j] if j == i else v[j] + 2 * v[i])
-                 for j in range(4))
-
+# ALL_LETTERS lists s1..s4 and then t1..t4.
+_SWAPS = ALL_LETTERS[:4]
+_TRANSPOSES = ALL_LETTERS[4:]
 
 ReductionStep = Tuple[GeneratorLetter, Tuple[Scalar, ...], Scalar]
 
@@ -71,16 +62,16 @@ def reduce_to_ground(q: Sequence[Scalar], return_trace: bool = False):
         if guard > 10_000_000:
             raise ReductionError("reduction did not terminate")
         i = max(range(4), key=lambda k: (v[k], -k))
-        cand = _flip(v, i)
+        cand = act(_SWAPS[i], v)
         if _size(cand) < _size(v):
-            record(GeneratorLetter("s", i + 1), cand)
+            record(_SWAPS[i], cand)
             v = cand
             continue
         j = min(range(4), key=lambda k: (v[k], k))
         if v[j] >= 0:
             raise ReductionError(f"stuck at {v}; not a reducible quadruple")
-        cand = _perp_flip(v, j)
-        record(GeneratorLetter("t", j + 1), cand)
+        cand = act(_TRANSPOSES[j], v)
+        record(_TRANSPOSES[j], cand)
         v = cand
     ground = v if sign > 0 else tuple(canon(-x) for x in v)
     word = GroupWord(tuple(reversed(letters_applied)))
@@ -101,7 +92,7 @@ def root_quadruple(q: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     v = vals
     while True:
         i = max(range(4), key=lambda k: (v[k], -k))
-        cand = _flip(v, i)
+        cand = act(_SWAPS[i], v)
         if _size(cand) < _size(v):
             v = cand
         else:
@@ -157,17 +148,6 @@ class ReducedForm:
         return rows if self.orientation > 0 else mat_neg(rows)
 
 
-def _conjugate_letter_by_perm(l: GeneratorLetter, p: Matrix, p_inv: Matrix) -> GeneratorLetter:
-    """Find the letter equal to P^{-1} L P; exists for any row permutation."""
-    target = mat_mul(mat_mul(p_inv, l.matrix()), p)
-    for k in ("s", "t"):
-        for i in (1, 2, 3, 4):
-            cand = GeneratorLetter(k, i)
-            if cand.matrix() == target:
-                return cand
-    raise ReductionError("permutation conjugate of a generator not found")
-
-
 def _compose_perm(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     # perm_matrix(a) @ perm_matrix(b) == perm_matrix(compose)
     return tuple(b[a[i]] for i in range(4))
@@ -195,12 +175,12 @@ def reduced_form(m_in: Sequence[Sequence[Scalar]]) -> Tuple[GroupWord, ReducedFo
     sign = orientation(v)
     g = divisor(v)
 
-    ops: List[Tuple[str, object]] = []  # ('l', letter) or ('p', perm tuple)
-    cur = cfg
+    # The reduction applies letters and row permutations.  p_acc is the
+    # product P of the permutations so far, so a letter l applied now
+    # equals P (P^-1 l P): the word records the relabeled letter.
     word0, _ = reduce_to_ground(v)
-    for l in word0.applied_order():
-        ops.append(("l", l))
-        cur = apply(l, cur)
+    letters_applied: List[GeneratorLetter] = list(word0.applied_order())
+    cur = apply(word0, cfg)
 
     pos = cur if sign > 0 else mat_neg(cur)
     # Family from the line normals; ground position has exactly two lines.
@@ -231,18 +211,17 @@ def reduced_form(m_in: Sequence[Sequence[Scalar]]) -> Tuple[GroupWord, ReducedFo
         n = pos[big][2]
         if pos[small][1] != m or pos[small][2] != n - 2:
             raise ReductionError("circle rows do not match the ground pattern")
-    order = (first, second, big, small)
-    ops.append(("p", order))
-    cur = tuple(cur[order[i]] for i in range(4))
-    pos = tuple(pos[order[i]] for i in range(4))
+    p_acc = (first, second, big, small)
+    cur = tuple(cur[p_acc[i]] for i in range(4))
+    pos = tuple(pos[p_acc[i]] for i in range(4))
 
     # Shift m and n into {0, 1} with the translation identities.
     def push(letter_text: str, perm: Tuple[int, ...]):
-        nonlocal cur, pos
-        l = GroupWord.from_text(letter_text).letters[0]
-        ops.append(("l", l))
-        cur = apply(l, cur)
-        ops.append(("p", perm))
+        nonlocal cur, pos, p_acc
+        l = letter(letter_text)
+        letters_applied.append(GeneratorLetter(l.kind, p_acc[l.index - 1] + 1))
+        cur = act(l, cur)
+        p_acc = _compose_perm(perm, p_acc)
         cur = tuple(cur[perm[i]] for i in range(4))
         pos = cur if sign > 0 else mat_neg(cur)
 
@@ -271,17 +250,6 @@ def reduced_form(m_in: Sequence[Sequence[Scalar]]) -> Tuple[GroupWord, ReducedFo
     if pos != printed_form(family, m, n, g):
         raise ReductionError("reduction failed to reach a printed form")
 
-    # Collapse the op list to (permutation) * (word in the generators).
-    p_acc: Tuple[int, ...] = (0, 1, 2, 3)
-    letters_applied: List[GeneratorLetter] = []
-    for kind, payload in ops:
-        if kind == "p":
-            p_acc = _compose_perm(payload, p_acc)
-        else:
-            pm = perm_matrix(p_acc)
-            pm_inv = perm_matrix(_invert_perm(p_acc))
-            letters_applied.append(
-                _conjugate_letter_by_perm(payload, pm, pm_inv))
     word = GroupWord(tuple(reversed(letters_applied)))
     label = ReducedForm(family, m, n, g, _invert_perm(p_acc), sign)
     if apply(word, cfg) != label.instantiate():

@@ -1,7 +1,8 @@
 """Command line interface for exact Apollonian packing computations.
 
 Every subcommand reads exact rationals ("3", "-1/2") and writes JSON (or
-CSV for the census).  Exit codes: 0 success, 1 domain error, 2 usage.
+CSV for the census).  Exit codes: 0 success, 1 domain error, 2 usage,
+141 the reader closed standard output (as for a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import verify as verify_mod
 from .classify import (orbit_census, reduce_to_ground, reduced_form,
@@ -27,6 +27,8 @@ from .packing import (EnumerationBudget, Window, generate_packing,
 from .serialize import (circle_from_json, matrix_from_json, matrix_to_json,
                         packed_to_json, scalar_from_str, scalar_to_str)
 from .svg import RenderOptions, render_svg
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_window(text: str) -> Window:
@@ -168,7 +170,9 @@ def cmd_render(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc)
     else:
-        sys.stdout.write(doc)
+        # Line by line: one large write to a pipe whose reader has gone
+        # can come back short without raising BrokenPipeError.
+        sys.stdout.writelines(doc.splitlines(keepends=True))
     return 0
 
 
@@ -270,7 +274,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if env is not None and env.isdigit():
             args.threads = int(env)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except GasketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

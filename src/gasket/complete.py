@@ -11,13 +11,11 @@ the discriminant is a rational square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import (Circle, GasketError, HALF, Matrix, PairRelation, Q_W_INV,
-                   Row, Scalar, TANGENT_RELATIONS, canon, canon_row,
-                   circle_from_row, mat_vec, pair_relation,
+from .core import (Circle, GasketError, HALF, Matrix, Q_W_INV, Row, Scalar,
+                   TANGENT_RELATIONS, canon, canon_row, pair_relation,
                    validate_augmented)
 
 
@@ -118,7 +116,7 @@ def complete(c1: Circle, c2: Circle, c3: Circle) -> Tuple[Matrix, Matrix]:
         if not validate_augmented(w):
             raise CompletionError("internal check failed: invalid completion")
         sols.append(w)
-    sols.sort(key=lambda w: (Fraction(w[3][1]), tuple(map(Fraction, w[3]))))
+    sols.sort(key=lambda w: (w[3][1], w[3]))
     return sols[0], sols[1]
 
 

@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 Row = Tuple[Scalar, Scalar, Scalar, Scalar]

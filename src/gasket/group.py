@@ -5,6 +5,11 @@ four swap generators S1..S4 (written ``s1``..``s4``) and their
 transposes (written ``t1``..``t4``).  Words are stored latest-first, so
 ``word.letters[0]`` is applied last; the text form lists letters in the
 same order, separated by spaces.
+
+``act`` is the single action of a generator: every matrix, word and
+reduction step in the package goes through it.  A row permutation P
+relabels the generators, P^-1 k_i P = k_{p[i-1]+1} for k in {s, t} with
+(P v)_i = v_{p[i]}, so conjugating a letter needs no matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
-from .core import (GasketError, Matrix, Q_D, Q_L, Scalar, canon, canon_matrix,
+from .core import (GasketError, Matrix, Q_D, Q_L, Scalar, canon_matrix,
                    canon_row, identity_matrix, mat_mul, mat_vec, transpose)
 
 
@@ -47,17 +52,47 @@ def letter(text: str) -> GeneratorLetter:
     return GeneratorLetter(text[0], int(text[1]))
 
 
+def act(l: GeneratorLetter, target):
+    """Left action of one generator on a 4-vector or the rows of a matrix.
+
+    ``s_i`` sets row i to twice the sum of the other rows minus row i;
+    ``t_i`` adds twice row i to every other row and negates row i.  The
+    target may be a curvature quadruple, a 4x3 configuration or a 4x4
+    matrix, with int or Fraction entries.  All-int input stays int with no
+    ``canon`` per entry; otherwise the result is canonicalized, so
+    integral values still come out as int.
+    """
+    i = l.index - 1
+    # A sum of int and Fraction entries is an int only when all are ints.
+    if isinstance(target[0], (tuple, list)):
+        rows = list(map(tuple, target))
+        exact = type(sum(map(sum, rows))) is int
+        ri = rows[i]
+        if l.kind == "s":
+            others = rows[:i] + rows[i + 1:]
+            rows[i] = tuple(2 * (a + b + c) - x
+                            for a, b, c, x in zip(*others, ri))
+        else:
+            rows = [tuple(-x for x in r) if k == i else
+                    tuple(x + 2 * y for x, y in zip(r, ri))
+                    for k, r in enumerate(rows)]
+        return tuple(rows) if exact else canon_matrix(rows)
+    # Quadruples get their own scalar path: a reduction takes one step per
+    # letter, and a word can have millions of letters.
+    v = tuple(target)
+    total = sum(v)
+    if l.kind == "s":
+        v = v[:i] + (2 * total - 3 * v[i],) + v[i + 1:]
+    else:
+        x = 2 * v[i]
+        v = tuple(-y if k == i else y + x for k, y in enumerate(v))
+    return v if type(total) is int else canon_row(v)
+
+
 def generator_matrix(l: GeneratorLetter) -> Matrix:
     """Swap generator S_i (row i replaced by twice the others minus itself)
     or its transpose."""
-    rows = [[1 if r == c else 0 for c in range(4)] for r in range(4)]
-    i = l.index - 1
-    if l.kind == "s":
-        rows[i] = [(-1 if c == i else 2) for c in range(4)]
-    else:
-        for r in range(4):
-            rows[r][i] = -1 if r == i else 2
-    return canon_matrix(rows)
+    return act(l, identity_matrix(4))
 
 
 ALL_LETTERS: Tuple[GeneratorLetter, ...] = tuple(
@@ -88,8 +123,8 @@ class GroupWord:
 
     def matrix(self) -> Matrix:
         m = identity_matrix(4)
-        for l in self.letters:
-            m = mat_mul(m, l.matrix())
+        for l in self.applied_order():
+            m = act(l, m)
         return m
 
     def inverse(self) -> "GroupWord":
@@ -103,24 +138,22 @@ class GroupWord:
 WordLike = Union[GeneratorLetter, GroupWord, Matrix]
 
 
-def _as_matrix(u: WordLike) -> Matrix:
-    if isinstance(u, GeneratorLetter):
-        return u.matrix()
-    if isinstance(u, GroupWord):
-        return u.matrix()
-    return canon_matrix(u)
-
-
 def apply(u: WordLike, target) -> Matrix:
     """Left action of a letter, word, or explicit matrix.
 
     The target may be a 4-vector (curvature quadruple), a 4x3
     configuration, or a 4x4 augmented matrix.
     """
-    m = _as_matrix(u)
-    if len(target) == 4 and not isinstance(target[0], (tuple, list)):
-        return mat_vec(m, canon_row(target))
-    return mat_mul(m, canon_matrix(target))
+    vector = len(target) == 4 and not isinstance(target[0], (tuple, list))
+    out = canon_row(target) if vector else canon_matrix(target)
+    if isinstance(u, GeneratorLetter):
+        return act(u, out)
+    if isinstance(u, GroupWord):
+        for l in u.applied_order():
+            out = act(l, out)
+        return out
+    return mat_vec(canon_matrix(u), out) if vector else \
+        mat_mul(canon_matrix(u), out)
 
 
 def is_normal_form(word: GroupWord) -> bool:
@@ -189,7 +222,8 @@ D_MATRIX: Matrix = canon_matrix(
 
 def conjugate_J0(u: WordLike) -> Matrix:
     """Conjugate by J0, carrying Descartes-form matrices to Lorentz ones."""
-    m = _as_matrix(u)
+    m = u.matrix() if isinstance(u, (GeneratorLetter, GroupWord)) else \
+        canon_matrix(u)
     return mat_mul(mat_mul(J0, m), J0)
 
 

@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .core import (Circle, GasketError, Matrix, Row, Scalar, canon,
-                   canon_matrix, canon_row, circle_from_row, divisor,
+from .core import (Circle, GasketError, Matrix, Row, Scalar, W_STANDARD,
+                   canon, canon_matrix, canon_row, circle_from_row, divisor,
                    orientation, validate_augmented)
 from .classify import is_root_quadruple, reduce_to_ground, root_quadruple
-from .core import W_STANDARD
-from .group import GeneratorLetter, GroupWord, apply, perm_matrix
+from .group import GeneratorLetter, GroupWord, act, apply
 
 
 class EnumerationError(GasketError):
@@ -202,7 +201,6 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
             raise EnumerationError(
                 "super-packing enumeration needs a window or a word-length"
                 " bound: the orbit meets every region of the plane")
-        from .classify import root_quadruple
         root = root_quadruple(tuple(r[1] for r in w0))
         if min(root) == 0:
             raise EnumerationError(
@@ -250,9 +248,8 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
             i = l.index - 1
             region2 = region
             if l.kind == "s":
-                new_row = canon_row(tuple(
-                    -wm[i][j] + 2 * sum(wm[k][j] for k in range(4) if k != i)
-                    for j in range(4)))
+                child = act(l, wm)
+                new_row = child[i]
                 b_new, b_old = new_row[1], curv[i]
                 child_word = word_applied + (l,)
                 emit(new_row, child_word)
@@ -280,7 +277,6 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                     if nxt is None:
                         continue
                     region2 = nxt
-                child = tuple(new_row if k == i else wm[k] for k in range(4))
             else:
                 b_i = curv[i]
                 if b_i > 0 and b_i >= maxcurv:
@@ -295,7 +291,7 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                     if nxt is None:
                         continue
                     region2 = nxt
-                child = apply(l, wm)
+                child = act(l, wm)
                 child_word = word_applied + (l,)
                 for k in range(4):
                     if k != i:
@@ -304,8 +300,7 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                 continue
             frontier.append((child, l, child_word, region2))
 
-    ordered = sorted(emitted.items(), key=lambda kv: tuple(map(Fraction, kv[0])))
-    return tuple(entry[2] for _, entry in ordered)
+    return tuple(emitted[row][2] for row in sorted(emitted))
 
 
 def generate_packing(base: Matrix, budget: EnumerationBudget) -> Tuple[PackedCircle, ...]:
@@ -411,11 +406,6 @@ def reflect_row_x(row: Row) -> Row:
 def reflect_row_y(row: Row) -> Row:
     """Reflection across the x axis (y -> -y)."""
     return transform_row(row, ((1, 0), (0, -1)), (0, 0))
-
-
-def transform_packed(pc: PackedCircle, r2x2, v) -> PackedCircle:
-    return PackedCircle(circle_from_row(transform_row(pc.circle.row(), r2x2, v)),
-                        pc.depth, pc.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
-from .core import Circle, GasketError, Matrix, Row, Scalar, canon, canon_matrix
-from .group import GroupWord
+from .core import Circle, GasketError, Matrix, Scalar, canon, canon_matrix
 from .packing import PackedCircle
 
 
@@ -55,6 +54,9 @@ def matrix_to_json(m: Matrix) -> List[List[str]]:
     return [[scalar_to_str(x) for x in row] for row in m]
 
 
-def matrix_from_json(rows: Sequence[Sequence[Any]]) -> Matrix:
+def matrix_from_json(rows: Any) -> Matrix:
+    if not isinstance(rows, list) or \
+            not all(isinstance(row, list) for row in rows):
+        raise GasketError("matrix must be a JSON array of row arrays")
     return canon_matrix([[scalar_from_str(str(x)) for x in row]
                          for row in rows])

@@ -8,11 +8,11 @@ significant digits derived from the exact rationals.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Circle, GasketError, Row, Scalar, canon
+from .core import GasketError, Row, Scalar, canon
 from .packing import PackedCircle, Window, transform_row
 
 
@@ -71,7 +71,7 @@ def _filtered(circles: Iterable[PackedCircle],
             if b == 0 or not isinstance(b, int) or b % mod != res:
                 continue
         out.append(pc)
-    out.sort(key=lambda pc: tuple(map(Fraction, pc.circle.row())))
+    out.sort(key=lambda pc: pc.circle.row())
     return out
 
 
@@ -218,7 +218,7 @@ def residue_symmetry_check(circles: Sequence[PackedCircle], modulus: int,
             b, row = -b, tuple(-x for x in row)
         if b % modulus == residue:
             rows.add(row)
-    for row in sorted(rows, key=lambda r: tuple(map(Fraction, r))):
+    for row in sorted(rows):
         mirrored = transform_row(row, r2x2, v)
         if mirrored[1] < 0:
             mirrored = tuple(-x for x in mirrored)

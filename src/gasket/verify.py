@@ -9,19 +9,15 @@ completion identities, and window symmetries.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List
 
-from .classify import (kappa, orbit_census, printed_form, reduce_to_ground,
-                       reduced_form, root_quadruple)
+from .classify import kappa, orbit_census, printed_form, reduced_form
 from .complete import (complete, complex_descartes_linear_holds,
                        complex_descartes_quadratic_holds,
                        strong_integrality_from_three)
-from .core import (PairRelation, Q_D, Q_L, Q_W, W_STANDARD, canon_matrix,
-                   circle_from_row, divisor, identity_matrix, mat_mul,
-                   mat_neg, orientation, pair_relation, transpose,
-                   validate_augmented)
+from .core import (PairRelation, W_STANDARD, circle_from_row, identity_matrix,
+                   mat_mul, mat_neg, pair_relation, transpose)
 from .group import (ALL_LETTERS, ALL_PERMUTATIONS, D_MATRIX, GeneratorLetter,
                     GroupWord, J0, apply, conjugate_J0, generator_matrix,
                     is_aut_QD, is_lorentz_integer, lorentz_point,

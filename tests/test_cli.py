@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from gasket.cli import main
+import gasket
+from gasket.cli import EXIT_BROKEN_PIPE, main
 from gasket.core import W_STANDARD
 
 
@@ -159,3 +163,33 @@ def test_threads_flag_accepted(capsys):
     code, out, _ = run(capsys, "--threads", "4", "check", "0", "0", "1", "1")
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--matrix", "[1,2]"),
+    ("classify", "--matrix", '{"a":1}'),
+    ("generate", "--base", "[1,2]", "--max-curvature", "6",
+     "--window", "0,1,0,1"),
+])
+def test_malformed_matrix_json_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: matrix must be a JSON array of row arrays\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "render"])
+def test_closed_pipe_exits_quietly(command):
+    # The output (over 200 kB) is larger than a pipe buffer, so the writer
+    # is still blocked when the reader goes away.
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gasket.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gasket.cli", command, "--max-curvature",
+         "100", "--window", "0,1,0,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and err == ""

@@ -8,11 +8,24 @@ from hypothesis import given, settings, strategies as st
 from gasket.core import (GasketError, Q_D, Q_L, W_STANDARD, identity_matrix,
                          mat_mul, mat_vec, transpose, validate_augmented)
 from gasket.group import (ALL_LETTERS, ALL_PERMUTATIONS, D_MATRIX,
-                          GeneratorLetter, GroupWord, J0, WordError, apply,
-                          conjugate_J0, generator_matrix, is_aut_QD,
+                          GeneratorLetter, GroupWord, J0, WordError, act,
+                          apply, conjugate_J0, generator_matrix, is_aut_QD,
                           is_lorentz_integer, is_normal_form, letter,
                           lorentz_point, lorentz_point_inverse,
                           normalize_word, perm_matrix, stabilizer_matrix)
+
+
+def _reference_matrix(l):
+    """S_i has row i equal to (2, 2, 2, 2) with -1 at i; T_i = S_i^T has
+    that column instead.  Built independently of ``act``."""
+    i = l.index - 1
+    rows = [[1 if r == c else 0 for c in range(4)] for r in range(4)]
+    for k in range(4):
+        if l.kind == "s":
+            rows[i][k] = -1 if k == i else 2
+        else:
+            rows[k][i] = -1 if k == i else 2
+    return tuple(map(tuple, rows))
 
 
 def test_generator_matrices_printed_values():
@@ -22,6 +35,8 @@ def test_generator_matrices_printed_values():
     assert t1 == transpose(s1)
     s3 = generator_matrix(letter("s3"))
     assert s3[2] == (2, 2, -1, 2)
+    for l in ALL_LETTERS:
+        assert generator_matrix(l) == _reference_matrix(l)
 
 
 def test_generators_are_involutive_form_automorphisms():
@@ -86,11 +101,45 @@ def test_perm_conjugation_relabels_generators():
     for perm in ALL_PERMUTATIONS:
         p = perm_matrix(perm)
         p_inv = transpose(p)
-        for i in range(4):
-            lhs = mat_mul(mat_mul(p, generator_matrix(
-                GeneratorLetter("s", i + 1))), p_inv)
-            j = perm.index(i)
-            assert lhs == generator_matrix(GeneratorLetter("s", j + 1))
+        for kind in ("s", "t"):
+            for i in range(4):
+                lhs = mat_mul(mat_mul(p, generator_matrix(
+                    GeneratorLetter(kind, i + 1))), p_inv)
+                j = perm.index(i)
+                assert lhs == generator_matrix(GeneratorLetter(kind, j + 1))
+                # The relabel in reduced_form: P^-1 k_{i+1} P = k_{p[i]+1}.
+                rhs = mat_mul(mat_mul(p_inv, generator_matrix(
+                    GeneratorLetter(kind, i + 1))), p)
+                assert rhs == generator_matrix(
+                    GeneratorLetter(kind, perm[i] + 1))
+
+
+_SCALARS = st.one_of(st.integers(-10 ** 12, 10 ** 12),
+                     st.fractions(max_denominator=12))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(ALL_LETTERS), st.sampled_from((None, 3, 4)),
+       st.booleans(), st.data())
+def test_act_matches_reference_matrix(l, cols, ints_only, data):
+    scalars = st.integers(-10 ** 12, 10 ** 12) if ints_only else _SCALARS
+    if cols is None:
+        target = tuple(data.draw(st.lists(scalars, min_size=4, max_size=4)))
+        expected = mat_vec(_reference_matrix(l), target)
+        got = act(l, target)
+        flat_got, flat_expected = list(got), list(expected)
+    else:
+        row = st.lists(scalars, min_size=cols, max_size=cols).map(tuple)
+        target = tuple(data.draw(st.lists(row, min_size=4, max_size=4)))
+        expected = mat_mul(_reference_matrix(l), target)
+        got = act(l, target)
+        flat_got = [x for r in got for x in r]
+        flat_expected = [x for r in expected for x in r]
+    assert got == expected
+    # Integral entries come out as int, as mat_mul's canon makes them.
+    assert [type(x) for x in flat_got] == [type(x) for x in flat_expected]
+    if ints_only:
+        assert all(type(x) is int for x in flat_got)
 
 
 def test_j0_involution_and_lorentz_conjugation():
