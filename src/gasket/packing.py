@@ -20,14 +20,17 @@ letter created.  Pruning is monotone and therefore sound:
 
 Each branch therefore carries a rectangular region (possibly unbounded)
 that contains all circles it can still emit, and is cut when the region
-misses the requested window.
+misses the requested window.  Region bounds are exact rationals kept as
+``(num, den)`` pairs with ``den > 0`` and compared by cross-multiplying,
+and the window test works over the window's common denominator, so an
+integer base is enumerated in integer arithmetic alone.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -35,7 +38,7 @@ from .core import (Circle, GasketError, Matrix, Row, Scalar, W_STANDARD,
                    canon, canon_matrix, canon_row, circle_from_row, divisor,
                    orientation, validate_augmented)
 from .classify import is_root_quadruple, reduce_to_ground, root_quadruple
-from .group import GeneratorLetter, GroupWord, act, apply
+from .group import ALL_LETTERS, GeneratorLetter, GroupWord, act, apply
 
 
 class EnumerationError(GasketError):
@@ -44,18 +47,29 @@ class EnumerationError(GasketError):
 
 @dataclass(frozen=True)
 class Window:
-    """Closed axis-aligned rectangle used for spatial filtering."""
+    """Closed axis-aligned rectangle used for spatial filtering.
+
+    ``scaled`` is the same rectangle over one common denominator: integers
+    (X0, X1, Y0, Y1, D), where D is the lcm of the corner denominators and
+    xmin = X0/D, xmax = X1/D, ymin = Y0/D, ymax = Y1/D.
+    """
 
     xmin: Scalar
     xmax: Scalar
     ymin: Scalar
     ymax: Scalar
+    scaled: Tuple[int, int, int, int, int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("xmin", "xmax", "ymin", "ymax"):
             object.__setattr__(self, name, canon(getattr(self, name)))
         if self.xmin > self.xmax or self.ymin > self.ymax:
             raise GasketError("empty window")
+        corners = (self.xmin, self.xmax, self.ymin, self.ymax)
+        d = math.lcm(*(v.denominator for v in corners))
+        object.__setattr__(self, "scaled", tuple(
+            v.numerator * (d // v.denominator) for v in corners) + (d,))
 
 
 @dataclass(frozen=True)
@@ -83,81 +97,81 @@ class PackedCircle:
     witness: GroupWord
 
 
-# Region boxes: (xmin, xmax, ymin, ymax) with None for unbounded sides.
-Box = Tuple[Optional[Scalar], Optional[Scalar], Optional[Scalar], Optional[Scalar]]
+# Region boxes: (xmin, xmax, ymin, ymax).  Each bound is an exact
+# rational (num, den) with den > 0, or None for an unbounded side.
+Bound = Optional[Tuple[Scalar, Scalar]]
+Box = Tuple[Bound, Bound, Bound, Bound]
 FULL_PLANE: Box = (None, None, None, None)
 
 
 def _box_intersect(a: Box, b: Box) -> Optional[Box]:
-    def lo(x, y):
-        if x is None:
+    def lo(x, y):  # the larger lower bound
+        if x is None or (y is not None and x[0] * y[1] < y[0] * x[1]):
             return y
-        if y is None:
-            return x
-        return max(x, y)
+        return x
 
-    def hi(x, y):
-        if x is None:
+    def hi(x, y):  # the smaller upper bound
+        if x is None or (y is not None and y[0] * x[1] < x[0] * y[1]):
             return y
-        if y is None:
-            return x
-        return min(x, y)
+        return x
 
     out = (lo(a[0], b[0]), hi(a[1], b[1]), lo(a[2], b[2]), hi(a[3], b[3]))
-    if out[0] is not None and out[1] is not None and out[0] > out[1]:
-        return None
-    if out[2] is not None and out[3] is not None and out[2] > out[3]:
-        return None
+    for low, high in ((out[0], out[1]), (out[2], out[3])):
+        if low is not None and high is not None and \
+                high[0] * low[1] < low[0] * high[1]:
+            return None
     return out
 
 
 def _window_box(w: Window) -> Box:
-    return (w.xmin, w.xmax, w.ymin, w.ymax)
+    x0, x1, y0, y1, d = w.scaled
+    return ((x0, d), (x1, d), (y0, d), (y1, d))
 
 
 def _circle_bbox(row: Row) -> Box:
+    """Bounding box of a positive-curvature circle's disk."""
     bbar, b, bx, by = row
-    x = Fraction(bx) / b
-    y = Fraction(by) / b
-    r = 1 / Fraction(abs(b))
-    return (canon(x - r), canon(x + r), canon(y - r), canon(y + r))
+    return ((bx - 1, b), (bx + 1, b), (by - 1, b), (by + 1, b))
 
 
 def _line_halfplane_box(row: Row) -> Box:
     """Bounding box of a line's interior half plane; exact only when the
     line is axis parallel, otherwise the full plane."""
     bbar, b, nx, ny = row
-    h = Fraction(bbar) / 2
     if nx == 0 and ny == 1:
-        return (None, None, canon(h), None)
+        return (None, None, (bbar, 2), None)
     if nx == 0 and ny == -1:
-        return (None, None, None, canon(-h))
+        return (None, None, None, (-bbar, 2))
     if ny == 0 and nx == 1:
-        return (canon(h), None, None, None)
+        return ((bbar, 2), None, None, None)
     if ny == 0 and nx == -1:
-        return (None, canon(-h), None, None)
+        return (None, (-bbar, 2), None, None)
     return FULL_PLANE
 
 
 def window_touches(row: Row, window: Window) -> bool:
     """Closed intersection test between a row's disk (for circles) or
     line (for b = 0) and the window rectangle.  Orientation-independent:
-    a row and its negation describe the same geometric object."""
+    a row and its negation describe the same geometric object.  Everything
+    is cross-multiplied by the window's common denominator D (and by |b|
+    for a circle), so integer rows need no rational arithmetic."""
     bbar, b, bx, by = row
+    x0, x1, y0, y1, d = window.scaled
     if b == 0:
         # The line {p . n = bbar/2} meets the rectangle iff the corner
-        # values of p . n straddle bbar/2.
-        lo = min(bx * x for x in (window.xmin, window.xmax)) + \
-            min(by * y for y in (window.ymin, window.ymax))
-        hi = max(bx * x for x in (window.xmin, window.xmax)) + \
-            max(by * y for y in (window.ymin, window.ymax))
-        return 2 * lo <= bbar <= 2 * hi
-    x = Fraction(bx) / b
-    y = Fraction(by) / b
-    cx = min(max(x, window.xmin), window.xmax)
-    cy = min(max(y, window.ymin), window.ymax)
-    d2 = (x - cx) ** 2 + (y - cy) ** 2
-    return d2 * b * b <= 1
+        # values of D p . n straddle D bbar/2.
+        lo = min(bx * x0, bx * x1) + min(by * y0, by * y1)
+        hi = max(bx * x0, bx * x1) + max(by * y0, by * y1)
+        return 2 * lo <= bbar * d <= 2 * hi
+    # In units of 1/(|b| D): the centre is sign(b) (bx, by) D, the window
+    # is |b| times the scaled one, and the radius is D.
+    a = abs(b)
+    if b < 0:
+        bx, by = -bx, -by
+    cx, cy = bx * d, by * d
+    ex = cx - min(max(cx, x0 * a), x1 * a)
+    ey = cy - min(max(cy, y0 * a), y1 * a)
+    return ex * ex + ey * ey <= d * d
 
 
 def _letters_after(last: Optional[GeneratorLetter],
@@ -178,6 +192,19 @@ def _letters_after(last: Optional[GeneratorLetter],
             elif last.index != i:
                 out.append(l)
     return tuple(out)
+
+
+# The letters that may follow each last letter (None at the start), in
+# enumeration order, for swaps only and for the full generator set.
+_NEXT_LETTERS = {(last, super_moves): _letters_after(last, super_moves)
+                 for last in (None,) + ALL_LETTERS
+                 for super_moves in (False, True)}
+
+
+def _witness_key(letters: Tuple[GeneratorLetter, ...]):
+    """Shortest witness first, ties broken by the letters latest first;
+    for equal lengths this is the order of the witness text."""
+    return len(letters), [(l.kind, l.index) for l in letters]
 
 
 _EXPANSION_GUARD = 5_000_000
@@ -207,7 +234,7 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                 "packings containing lines need a window or a word-length"
                 " bound: they extend along the lines forever")
 
-    emitted: Dict[Row, Tuple[int, str, PackedCircle]] = {}
+    emitted: Dict[Row, PackedCircle] = {}
 
     def emit(row: Row, word_applied: Tuple[GeneratorLetter, ...],
              skip_curvature: bool = False):
@@ -218,13 +245,14 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
         neg = tuple(-x for x in row)
         if neg in emitted:
             return  # same circle, opposite orientation, already present
-        word = GroupWord(tuple(reversed(word_applied)))
-        depth = word.perp_count()
-        key = (len(word_applied), word.text)
+        letters = tuple(reversed(word_applied))
         prev = emitted.get(row)
-        if prev is None or key < (prev[0], prev[1]):
-            emitted[row] = (key[0], key[1],
-                            PackedCircle(circle_from_row(row), depth, word))
+        if prev is not None and \
+                _witness_key(letters) >= _witness_key(prev.witness.letters):
+            return
+        word = GroupWord(letters)
+        emitted[row] = PackedCircle(circle_from_row(row), word.perp_count(),
+                                    word)
 
     for row in w0:
         emit(row, (), skip_curvature=True)
@@ -244,7 +272,7 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                 "the budget does not bound this enumeration")
         curv = tuple(r[1] for r in wm)
         zero_rows = [i for i in range(4) if curv[i] == 0]
-        for l in _letters_after(last, super_moves):
+        for l in _NEXT_LETTERS[last, super_moves]:
             i = l.index - 1
             region2 = region
             if l.kind == "s":
@@ -258,20 +286,24 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                 if b_new == b_old and len(zero_rows) == 2:
                     # Ground walk: the branch moves past the tangency
                     # point of the two equal circles, along the lines.
+                    # That point is the midpoint of their centres, and
+                    # b_new * b_j > 0 (Descartes: (0, 0, c, d) has c = d),
+                    # so the cross-multiplied differences below have the
+                    # signs of the centre differences.
                     j = next(k for k in range(4) if k != i and curv[k] != 0)
-                    ci = (Fraction(wm[i][2]) / b_old, Fraction(wm[i][3]) / b_old)
-                    cj = (Fraction(wm[j][2]) / curv[j],
-                          Fraction(wm[j][3]) / curv[j])
-                    cn = (Fraction(new_row[2]) / b_new,
-                          Fraction(new_row[3]) / b_new)
-                    tx = canon((ci[0] + cj[0]) / 2)
-                    ty = canon((ci[1] + cj[1]) / 2)
+                    b_j = curv[j]
+                    xi, yi = wm[i][2:]
+                    xj, yj = wm[j][2:]
+                    tx = (xi * b_j + xj * b_old, 2 * b_old * b_j)
+                    ty = (yi * b_j + yj * b_old, 2 * b_old * b_j)
+                    dx = new_row[2] * b_j - xj * b_new
+                    dy = new_row[3] * b_j - yj * b_new
                     half = FULL_PLANE
-                    if cn[1] == cj[1] and cn[0] != cj[0]:
-                        half = (tx, None, None, None) if cn[0] > cj[0] \
+                    if dy == 0 and dx != 0:
+                        half = (tx, None, None, None) if dx > 0 \
                             else (None, tx, None, None)
-                    elif cn[0] == cj[0] and cn[1] != cj[1]:
-                        half = (None, None, ty, None) if cn[1] > cj[1] \
+                    elif dx == 0 and dy != 0:
+                        half = (None, None, ty, None) if dy > 0 \
                             else (None, None, None, ty)
                     nxt = _box_intersect(region2, half)
                     if nxt is None:
@@ -300,7 +332,7 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                 continue
             frontier.append((child, l, child_word, region2))
 
-    return tuple(emitted[row][2] for row in sorted(emitted))
+    return tuple(emitted[row] for row in sorted(emitted))
 
 
 def generate_packing(base: Matrix, budget: EnumerationBudget) -> Tuple[PackedCircle, ...]:

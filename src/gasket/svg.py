@@ -2,7 +2,10 @@
 
 Output is byte-for-byte reproducible: circles are emitted in sorted row
 order and all coordinates are printed as decimals with a fixed number of
-significant digits derived from the exact rationals.
+significant digits derived from the exact rationals.  A circle's
+coordinates are formed as (numerator, denominator) pairs straight from its
+row and the window's common denominator, so integer rows are drawn in
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,15 +25,21 @@ _GRAYS = ("#f2f2f2", "#dddddd", "#c8c8c8", "#b0b0b0",
           "#949494", "#747474", "#4f4f4f", "#262626")
 
 
-def _dec(x: Scalar) -> str:
-    """Fixed significant-digit decimal form of an exact rational."""
-    f = Fraction(x)
-    if f == 0:
+_CONTEXT = decimal.Context(prec=SIG_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
+
+
+def _dec(num: Scalar, den: Scalar = 1) -> str:
+    """Fixed significant-digit decimal form of the exact rational num/den.
+
+    Decimal division is correctly rounded, so the digits depend only on the
+    value: the pair need not be reduced, and den may be negative.
+    """
+    n = num.numerator * den.denominator
+    if n == 0:
         return "0"
-    ctx = decimal.Context(prec=SIG_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
-    d = ctx.divide(decimal.Decimal(f.numerator), decimal.Decimal(f.denominator))
-    s = format(d.normalize(ctx), "f")
-    return s
+    d = _CONTEXT.divide(decimal.Decimal(n),
+                        decimal.Decimal(num.denominator * den.numerator))
+    return format(d.normalize(_CONTEXT), "f")
 
 
 def default_stroke_width(curvature: Scalar) -> Fraction:
@@ -110,55 +119,61 @@ def _clip_line(row: Row, window: Window):
 def render_svg(circles: Iterable[PackedCircle], options: RenderOptions) -> str:
     """Render a circle set to an SVG document string."""
     w = options.window
-    width = (Fraction(w.xmax) - Fraction(w.xmin)) * options.scale
-    height = (Fraction(w.ymax) - Fraction(w.ymin)) * options.scale
+    scale = options.scale
+    x0, x1, y0, y1, d = w.scaled
+    width = _dec((x1 - x0) * scale, d)
+    height = _dec((y1 - y0) * scale, d)
 
     def sx(x):
-        return (Fraction(x) - Fraction(w.xmin)) * options.scale
+        return (Fraction(x) - Fraction(w.xmin)) * scale
 
     def sy(y):
         # Flip the y axis: SVG grows downward.
-        return (Fraction(w.ymax) - Fraction(y)) * options.scale
+        return (Fraction(w.ymax) - Fraction(y)) * scale
 
     parts: List[str] = []
     parts.append(
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_dec(width)}" height="{_dec(height)}" '
-        f'viewBox="0 0 {_dec(width)} {_dec(height)}">')
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">')
     if options.frame:
         parts.append(
-            f'<rect x="0" y="0" width="{_dec(width)}" height="{_dec(height)}" '
+            f'<rect x="0" y="0" width="{width}" height="{height}" '
             'fill="none" stroke="#000000" stroke-width="1"/>')
     highlight = set(options.highlight_base)
+    strokes = {}  # curvature -> formatted stroke width
     for pc in _filtered(circles, options):
         row = pc.circle.row()
-        b = row[1]
+        bbar, b, bx, by = row
         stroke = "#cc0000" if row in highlight else "#000000"
-        sw = canon(Fraction(options.stroke_width(b)) * options.scale)
+        sw = strokes.get(b)
+        if sw is None:
+            sw = strokes[b] = _dec(Fraction(options.stroke_width(b)) * scale)
         if b == 0:
             seg = _clip_line(row, w)
             if seg is None:
                 continue
-            (x1, y1), (x2, y2) = seg
+            (lx1, ly1), (lx2, ly2) = seg
             parts.append(
-                f'<line x1="{_dec(sx(x1))}" y1="{_dec(sy(y1))}" '
-                f'x2="{_dec(sx(x2))}" y2="{_dec(sy(y2))}" '
-                f'stroke="{stroke}" stroke-width="{_dec(sw)}" fill="none"/>')
+                f'<line x1="{_dec(sx(lx1))}" y1="{_dec(sy(ly1))}" '
+                f'x2="{_dec(sx(lx2))}" y2="{_dec(sy(ly2))}" '
+                f'stroke="{stroke}" stroke-width="{sw}" fill="none"/>')
             continue
-        cx, cy = pc.circle.center()
-        r = pc.circle.radius()
+        # Centre (bx/b, by/b) and radius 1/|b| in picture units, each over
+        # the denominator b D or |b|.
+        cx = _dec((bx * d - x0 * b) * scale, b * d)
+        cy = _dec((y1 * b - by * d) * scale, b * d)
         if options.fill == "depth":
             fill = _GRAYS[pc.depth % len(_GRAYS)]
         else:
             fill = "none"
         parts.append(
-            f'<circle cx="{_dec(sx(cx))}" cy="{_dec(sy(cy))}" '
-            f'r="{_dec(Fraction(r) * options.scale)}" '
-            f'stroke="{stroke}" stroke-width="{_dec(sw)}" fill="{fill}"/>')
+            f'<circle cx="{cx}" cy="{cy}" r="{_dec(scale, abs(b))}" '
+            f'stroke="{stroke}" stroke-width="{sw}" fill="{fill}"/>')
         if options.labels:
             parts.append(
-                f'<text x="{_dec(sx(cx))}" y="{_dec(sy(cy))}" '
-                f'font-size="{_dec(Fraction(r) * options.scale / 2)}" '
+                f'<text x="{cx}" y="{cy}" '
+                f'font-size="{_dec(scale, 2 * abs(b))}" '
                 'text-anchor="middle" dominant-baseline="middle">'
                 f'{_label(b)}</text>')
     parts.append("</svg>")
@@ -166,10 +181,9 @@ def render_svg(circles: Iterable[PackedCircle], options: RenderOptions) -> str:
 
 
 def _label(b: Scalar) -> str:
-    f = Fraction(b)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    if b.denominator == 1:
+        return str(b.numerator)
+    return f"{b.numerator}/{b.denominator}"
 
 
 # ---------------------------------------------------------------------------

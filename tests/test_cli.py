@@ -1,17 +1,21 @@
 """The command line interface, exercised through main(argv)."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import gasket
 from gasket.cli import EXIT_BROKEN_PIPE, main
 from gasket.core import W_STANDARD
+from gasket.packing import translate_row
+from gasket.serialize import matrix_to_json
 
 
 def run(capsys, *argv):
@@ -193,3 +197,33 @@ def test_closed_pipe_exits_quietly(command):
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert "Traceback" not in err and err == ""
+
+
+# W_STANDARD moved by (1/3, 1/7): a base with Fraction entries.
+SHIFTED_BASE = json.dumps(matrix_to_json(
+    [translate_row(r, Fraction(1, 3), Fraction(1, 7)) for r in W_STANDARD]))
+
+
+# Outputs on inputs that are not integer rows or not integer windows, pinned
+# by digest: a fractional base, a fractional window, labels of a fractional
+# curvature and a window whose corners have different denominators.
+@pytest.mark.parametrize("argv, digest", [
+    (("generate", "--mode", "super", "--base", SHIFTED_BASE,
+      "--window", "0,1,0,1", "--max-curvature", "60"),
+     "31c9f03035c45f85e4797632c11e1b1084c61abc16a9b7c48c9538f7bb68ea45"),
+    (("render", "--base", SHIFTED_BASE, "--window", "1/3,2/3,1/5,4/5",
+      "--max-curvature", "60", "--depth-shade", "--labels"),
+     "910020f672f73f3d25f7d6495cce0ca6ef4e7847ad96e4d27c30290f13fc3ae9"),
+    (("render", "--base", '[["4","0","0","1"],["4","0","0","-1"],'
+      '["0","1/2","1","0"],["0","1/2","-1","0"]]', "--window", "0,2,0,2",
+      "--max-curvature", "30", "--labels", "--highlight-base"),
+     "f3acafc846e9b2c6fe1a5a262ef63e8eb6c8e64ec9b0131ab19b3a378a615c41"),
+    (("render", "--window=-5/2,1/2,-1/3,7/3", "--max-curvature", "50",
+      "--depth-shade", "--labels"),
+     "4ad0520a6c915de200c09fc547d7e51dfb0d5f9c88ce94da8f30df4583262930"),
+], ids=["generate-fraction-base", "render-fraction-window",
+        "render-half-curvature-labels", "render-mixed-denominators"])
+def test_rational_inputs_match_pinned_digests(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,8 +4,9 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gasket.core import W_STANDARD, circle_from_row, validate_augmented
+from gasket.core import W_STANDARD, canon, circle_from_row, validate_augmented
 from gasket.group import ALL_LETTERS, apply, is_normal_form
 from gasket.packing import (EnumerationBudget, EnumerationError, Window,
                             bounding_packing, contains_oriented,
@@ -70,6 +71,15 @@ def test_packing_matches_reference_enumeration():
     mine = {pc.circle.row()
             for pc in generate_packing(BOUNDED_BASE, EnumerationBudget(60))}
     assert canon_sign(ref) == canon_sign(mine)
+    # Along the strip, each ground-walk step confines its branch beyond the
+    # tangency point of two circles; these windows lie just short of the
+    # second such point on either side, so a misplaced point drops circles.
+    for win in (Window(Fraction(13, 4), Fraction(15, 4), -1, 1),
+                Window(Fraction(-15, 4), Fraction(-13, 4), -1, 1)):
+        ref = brute_rows(W_STANDARD, 12, win, 8, s_letters)
+        mine = {pc.circle.row() for pc in generate_packing(
+            W_STANDARD, EnumerationBudget(12, window=win))}
+        assert canon_sign(ref) == canon_sign(mine)
 
 
 def test_superpacking_matches_reference_in_offset_windows():
@@ -127,6 +137,97 @@ def test_window_touches():
     assert window_touches((1, -1, 0, 0), win)       # unit disk at the origin
     assert not window_touches((0, 1, 3, 0), win)    # unit circle at (3, 0)
     assert window_touches((0, 1, 2, 0), win)        # tangent at the corner
+
+
+def touches_reference(row, win):
+    """The window test in rational arithmetic: clamp the centre to the
+    window and compare the squared distance with the squared radius."""
+    bbar, b, bx, by = row
+    if b == 0:
+        lo = min(bx * x for x in (win.xmin, win.xmax)) + \
+            min(by * y for y in (win.ymin, win.ymax))
+        hi = max(bx * x for x in (win.xmin, win.xmax)) + \
+            max(by * y for y in (win.ymin, win.ymax))
+        return 2 * lo <= bbar <= 2 * hi
+    x = Fraction(bx) / b
+    y = Fraction(by) / b
+    cx = min(max(x, win.xmin), win.xmax)
+    cy = min(max(y, win.ymin), win.ymax)
+    return ((x - cx) ** 2 + (y - cy) ** 2) * b * b <= 1
+
+
+def circle_row(b, x, y):
+    """Row of the circle of curvature b centred at (x, y)."""
+    return tuple(canon(v) for v in
+                 (b * (x * x + y * y) - 1 / Fraction(b), b, b * x, b * y))
+
+
+_NORMALS = ((1, 0), (-1, 0), (0, 1), (0, -1),
+            (Fraction(3, 5), Fraction(4, 5)))
+_COORDS = st.builds(lambda k, q: canon(Fraction(k, q)),
+                    st.integers(-9, 9), st.sampled_from((1, 3, 5, 7)))
+
+
+@st.composite
+def windows(draw):
+    """Windows with corner denominators 1, 3, 5 and 7, some of them
+    degenerate (a segment or a point)."""
+    xs = sorted(draw(st.lists(_COORDS, min_size=2, max_size=2)))
+    ys = sorted(draw(st.lists(_COORDS, min_size=2, max_size=2)))
+    flat = draw(st.sampled_from(("", "", "x", "y", "xy")))
+    if "x" in flat:
+        xs[1] = xs[0]
+    if "y" in flat:
+        ys[1] = ys[0]
+    return Window(xs[0], xs[1], ys[0], ys[1])
+
+
+def both_orientations(row):
+    return (row, tuple(-v for v in row))
+
+
+@settings(max_examples=400)
+@given(windows(), st.sampled_from(("int", "fraction", "line")), st.data())
+def test_window_touches_matches_rational_reference(win, kind, data):
+    if kind == "int":
+        b = data.draw(st.integers(1, 40))
+        bx = data.draw(st.integers(-10 * b, 10 * b))
+        by = data.draw(st.integers(-10 * b, 10 * b))
+        row = (canon(Fraction(bx * bx + by * by - 1, b)), b, bx, by)
+    elif kind == "fraction":
+        b = data.draw(st.fractions(Fraction(1, 7), 7, max_denominator=7))
+        row = circle_row(b, data.draw(_COORDS), data.draw(_COORDS))
+    else:
+        nx, ny = data.draw(st.sampled_from(_NORMALS))
+        row = (2 * data.draw(_COORDS), 0, nx, ny)
+    for r in both_orientations(row):
+        assert window_touches(r, win) == touches_reference(r, win)
+
+
+@settings(max_examples=200)
+@given(windows(), st.sampled_from((1, -1)), st.sampled_from((1, -1)),
+       st.fractions(Fraction(1, 7), 3, max_denominator=7))
+def test_window_touches_tangent_cases(win, sx, sy, r):
+    # A circle outside the window, tangent to it at a corner (the centre
+    # lies along (3, 4)/5 from it) or at the middle of a vertical edge.
+    px = win.xmax if sx > 0 else win.xmin
+    py = win.ymax if sy > 0 else win.ymin
+    mid_y = Fraction(win.ymin + win.ymax, 2)
+    for x, y in ((px + sx * 3 * r / 5, py + sy * 4 * r / 5),
+                 (px + sx * r, mid_y)):
+        for b, touches in ((1 / r, True), (11 / (10 * r), False)):
+            for row in both_orientations(circle_row(b, x, y)):
+                assert window_touches(row, win) is touches
+                assert touches_reference(row, win) is touches
+    # A line through the window's extreme corner along its normal touches,
+    # the same line moved outward by 1/100 does not.
+    for nx, ny in _NORMALS:
+        top = max(nx * x + ny * y for x in (win.xmin, win.xmax)
+                  for y in (win.ymin, win.ymax))
+        for h, touches in ((top, True), (top + Fraction(1, 100), False)):
+            for row in both_orientations((canon(2 * h), 0, nx, ny)):
+                assert window_touches(row, win) is touches
+                assert touches_reference(row, win) is touches
 
 
 def test_contains_oriented():

@@ -1,6 +1,7 @@
 """Deterministic SVG rendering and residue-class mirror symmetry."""
 
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,48 @@ UNIT_WINDOW = Window(0, 1, 0, 1)
 def unit_square_set(bound=100):
     return generate_superpacking(
         W_STANDARD, EnumerationBudget(bound, window=UNIT_WINDOW))
+
+
+@pytest.fixture
+def fractions_built():
+    """Counts Fraction constructions; the constructor is restored after the
+    test."""
+    original = vars(Fraction)["__new__"]
+    count = [0]
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        yield count
+    finally:
+        Fraction.__new__ = original
+
+
+def test_integer_rows_build_no_fractions_per_circle(fractions_built):
+    sets, built = [], []
+    for bound in (40, 100):
+        before = fractions_built[0]
+        sets.append(unit_square_set(bound))
+        built.append(fractions_built[0] - before)
+    # Only the validation of the base builds rationals, so the count does
+    # not grow with the number of circles.
+    assert len(sets[1]) > 4 * len(sets[0])
+    assert built[0] == built[1]
+    opts = RenderOptions(window=UNIT_WINDOW, fill="depth", labels=True)
+    for circles in sets:
+        # Lines are clipped in rationals, but a window meets few of them.
+        disks = tuple(pc for pc in circles if not pc.circle.is_line)
+        built = []
+        for drawn in (disks, disks + disks):
+            before = fractions_built[0]
+            render_svg(drawn, opts)
+            built.append(fractions_built[0] - before)
+        # Drawing each circle twice builds nothing more: stroke widths are
+        # computed once per curvature, coordinates from the integer rows.
+        assert built[0] == built[1]
 
 
 def test_render_is_deterministic():
