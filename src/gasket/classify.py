@@ -6,6 +6,12 @@ Strongly integral configurations (integer 4x3 matrices) reduce further
 to one of sixteen printed canonical forms per divisor, decorated by a
 row permutation and a sign.  The census of super-integral orbits over
 divisors 1, 2 and 4 is generated from these forms.
+
+The greedy reductions walk long parabolic runs (x_i x_j)^k.  Each run is
+one jump of ``group.act_run`` (``_greedy_runs`` shows that a jump takes
+exactly the letters the stepwise greedy takes), and the m/n shifts of
+``reduced_form`` are one run each, so apart from writing out the word the
+work grows with the digits of the input, not with its size.
 """
 
 from __future__ import annotations
@@ -18,15 +24,11 @@ from .core import (GasketError, InvalidQuadrupleError, Matrix, Scalar, canon,
                    canon_matrix, divisor, extend_to_augmented, mat_neg,
                    orientation, validate_quadruple)
 from .group import (ALL_LETTERS, ALL_PERMUTATIONS, GeneratorLetter, GroupWord,
-                    act, apply, letter)
+                    act, act_run, apply)
 
 
 class ReductionError(GasketError):
     """Reduction or classification failed on malformed input."""
-
-
-def _size(v: Sequence[Scalar]) -> Scalar:
-    return sum(v)
 
 
 # ALL_LETTERS lists s1..s4 and then t1..t4.
@@ -34,6 +36,110 @@ _SWAPS = ALL_LETTERS[:4]
 _TRANSPOSES = ALL_LETTERS[4:]
 
 ReductionStep = Tuple[GeneratorLetter, Tuple[Scalar, ...], Scalar]
+Run = Tuple[GeneratorLetter, GeneratorLetter, int]
+
+
+def _greedy_letter(v: Tuple[Scalar, ...],
+                   to_ground: bool) -> Optional[GeneratorLetter]:
+    """The letter the greedy reduction applies to v next, or None.
+
+    The swap s_i of the largest entry (first index on ties) applies when
+    it shrinks the sum, 2 v_i > sum(v).  Towards the root that is all.
+    Towards ground position the greedy stops at two zeros, and otherwise
+    falls back on the transpose t_j of the smallest entry (first index on
+    ties) when that entry is negative.
+    """
+    if to_ground and v.count(0) >= 2:
+        return None
+    top = max(v)
+    if 2 * top > sum(v):
+        return _SWAPS[v.index(top)]
+    low = min(v)
+    if to_ground and low < 0:
+        return _TRANSPOSES[v.index(low)]
+    return None
+
+
+def _greedy_runs(v: Tuple[Scalar, ...],
+                 to_ground: bool) -> Tuple[List[Run], Tuple[Scalar, ...]]:
+    """Greedy reduction of a positively oriented Descartes quadruple.
+
+    Returns the runs (a, b, count), each the letters a, b, a, ... in the
+    order applied, and the quadruple where the greedy stops.  When its
+    next two letters a != b are of one kind, the loop jumps: the run
+    length L is the first u at which the greedy choice at x_u =
+    act_run(a, b, u, v) is not the run's next letter, found by doubling
+    and bisection over that exact test.  This takes the stepwise letters
+    because the test holds exactly for u < L:
+
+    Every x_u is a positively oriented Descartes quadruple, in which two
+    entries sum to at least 0, and to 0 only when both are 0 (with A, B
+    the sums of complementary pairs, (A + B)^2 = 2 sum(x^2) >= A^2 + B^2
+    gives AB >= 0, and A + B > 0).  So a swap that shrinks the sum is at
+    the strict maximum, and at two zeros none does.
+
+    - Swap run: the fixed entries sum to s > 0 (both 0 would be two zeros
+      at x_0), and the moving entries follow c_{n+1} = 2(s + c_n) - c_{n-1},
+      so d_n = c_{n+1} - c_n grows by 2s per letter.  The next letter
+      replaces c_u, and the greedy takes it iff it shrinks the sum:
+      c_u > s + c_{u+1}, that is d_u < -s, which holds on a prefix.
+    - Transpose run (towards ground only): the entries negated in turn
+      are n_u = p + u*delta, where p < 0 and q are the moving entries of
+      x_0 and delta = p + q > 0.  The greedy takes t at n_u iff n_u < 0
+      (then n_u is the only negative entry, so the minimum, and there are
+      no two zeros) and no swap shrinks the sum.  A fixed entry r_u keeps
+      2 r_u - T_u = 2 r_0 - T_0 <= 0, as each letter adds 2 n_u to it and
+      4 n_u to the sum T.  The entry negated last gives -2 n_{u-1} - T_u,
+      a concave quadratic in u with its top where n_u = 0, so it does not
+      decrease while n_u < 0.  Both conditions hold on a prefix.
+
+    The guard counts jumps and single letters.
+    """
+    runs: List[Run] = []
+    guard = 0
+    while (a := _greedy_letter(v, to_ground)) is not None:
+        guard += 1
+        if guard > 10_000_000:
+            raise ReductionError("reduction did not terminate")
+        w = act(a, v)
+        b = _greedy_letter(w, to_ground)
+        if b is None or b.kind != a.kind:
+            runs.append((a, a, 1))
+            v = w
+        else:
+            count = _run_length(a, b, v, to_ground)
+            runs.append((a, b, count))
+            v = act_run(a, b, count, v)
+    return runs, v
+
+
+def _run_length(a: GeneratorLetter, b: GeneratorLetter,
+                v: Tuple[Scalar, ...], to_ground: bool) -> int:
+    """How many letters of the run a, b, a, ... the greedy takes from v,
+    given that it takes the first two (see ``_greedy_runs``)."""
+    def on_run(u: int) -> bool:
+        x = act_run(a, b, u, v)
+        return _greedy_letter(x, to_ground) == (b if u % 2 else a)
+
+    lo, hi = 1, 2
+    while on_run(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if on_run(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _run_letters(runs: Sequence[Run]) -> List[GeneratorLetter]:
+    letters: List[GeneratorLetter] = []
+    for a, b, count in runs:
+        letters.extend((a, b) * (count // 2))
+        if count % 2:
+            letters.append(a)
+    return letters
 
 
 def reduce_to_ground(q: Sequence[Scalar], return_trace: bool = False):
@@ -43,61 +149,39 @@ def reduce_to_ground(q: Sequence[Scalar], return_trace: bool = False):
     permutation of (0, 0, g, g) times the orientation sign.  With
     ``return_trace`` also returns the list of (letter, quadruple, size)
     after each step; the size strictly decreases along the trace.
+    Parabolic runs are applied as jumps (``_greedy_runs``), so the work
+    apart from writing out the letters grows with the digits of q.
     """
     vals = validate_quadruple(q)
     sign = orientation(vals)
     v = vals if sign > 0 else tuple(canon(-x) for x in vals)
-    letters_applied: List[GeneratorLetter] = []
-    trace: List[ReductionStep] = []
-
-    def record(l: GeneratorLetter, w: Tuple[Scalar, ...]):
-        letters_applied.append(l)
-        if return_trace:
-            actual = w if sign > 0 else tuple(canon(-x) for x in w)
-            trace.append((l, actual, _size(w)))
-
-    guard = 0
-    while sum(1 for x in v if x == 0) < 2:
-        guard += 1
-        if guard > 10_000_000:
-            raise ReductionError("reduction did not terminate")
-        i = max(range(4), key=lambda k: (v[k], -k))
-        cand = act(_SWAPS[i], v)
-        if _size(cand) < _size(v):
-            record(_SWAPS[i], cand)
-            v = cand
-            continue
-        j = min(range(4), key=lambda k: (v[k], k))
-        if v[j] >= 0:
-            raise ReductionError(f"stuck at {v}; not a reducible quadruple")
-        cand = act(_TRANSPOSES[j], v)
-        record(_TRANSPOSES[j], cand)
-        v = cand
-    ground = v if sign > 0 else tuple(canon(-x) for x in v)
+    runs, end = _greedy_runs(v, True)
+    if end.count(0) < 2:
+        raise ReductionError(f"stuck at {end}; not a reducible quadruple")
+    letters_applied = _run_letters(runs)
+    ground = end if sign > 0 else tuple(canon(-x) for x in end)
     word = GroupWord(tuple(reversed(letters_applied)))
-    if return_trace:
-        return word, ground, trace
-    return word, ground
+    if not return_trace:
+        return word, ground
+    trace: List[ReductionStep] = []
+    for l in letters_applied:
+        v = act(l, v)
+        actual = v if sign > 0 else tuple(canon(-x) for x in v)
+        trace.append((l, actual, sum(v)))
+    return word, ground, trace
 
 
 def root_quadruple(q: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     """Smallest quadruple reachable by swap moves alone, sorted ascending.
 
     Only defined for positively oriented quadruples; the result has
-    a <= b <= c <= d with a + b + c >= d.
+    a <= b <= c <= d with a + b + c >= d.  Parabolic runs are jumps, so
+    the cost grows with the digits of q, not with its size.
     """
     vals = validate_quadruple(q)
     if orientation(vals) < 0:
         raise InvalidQuadrupleError("root quadruples are positively oriented")
-    v = vals
-    while True:
-        i = max(range(4), key=lambda k: (v[k], -k))
-        cand = act(_SWAPS[i], v)
-        if _size(cand) < _size(v):
-            v = cand
-        else:
-            break
-    return tuple(sorted(v))
+    return tuple(sorted(_greedy_runs(vals, False)[1]))
 
 
 def is_root_quadruple(q: Sequence[Scalar]) -> bool:
@@ -213,39 +297,29 @@ def reduced_form(m_in: Sequence[Sequence[Scalar]]) -> Tuple[GroupWord, ReducedFo
             raise ReductionError("circle rows do not match the ground pattern")
     p_acc = (first, second, big, small)
     cur = tuple(cur[p_acc[i]] for i in range(4))
-    pos = tuple(pos[p_acc[i]] for i in range(4))
 
-    # Shift m and n into {0, 1} with the translation identities.
-    def push(letter_text: str, perm: Tuple[int, ...]):
-        nonlocal cur, pos, p_acc
-        l = letter(letter_text)
-        letters_applied.append(GeneratorLetter(l.kind, p_acc[l.index - 1] + 1))
-        cur = act(l, cur)
-        p_acc = _compose_perm(perm, p_acc)
-        cur = tuple(cur[perm[i]] for i in range(4))
-        pos = cur if sign > 0 else mat_neg(cur)
+    # Shift m and n into {0, 1} with the translation identities.  A step
+    # applies l and then swaps two rows by P, and P l P = l2, the
+    # P-relabel of l; so k steps are the run l, l2, l, ... and then
+    # P^(k mod 2).  A letter is recorded relabeled by p_acc at its step.
+    def shift(value: int, up: GeneratorLetter, down: GeneratorLetter,
+              perm: Tuple[int, ...]) -> int:
+        nonlocal cur, p_acc
+        l, l2 = (up, down) if value >= 2 else (down, up)
+        count = abs(value - value % 2) // 2
+        rec = [GeneratorLetter(x.kind, p_acc[x.index - 1] + 1) for x in (l, l2)]
+        letters_applied.extend(rec * (count // 2) + rec[:count % 2])
+        cur = act_run(l, l2, count, cur)
+        if count % 2:
+            p_acc = _compose_perm(perm, p_acc)
+            cur = tuple(cur[perm[i]] for i in range(4))
+        return value % 2
 
-    P12 = (1, 0, 2, 3)
-    P34 = (0, 1, 3, 2)
-    guard = 0
-    while not (0 <= m <= 1):
-        guard += 1
-        if guard > 10_000_000:
-            raise ReductionError("canonical shift did not terminate")
-        if family == "A":
-            push("s3" if m >= 2 else "s4", P34)
-        else:
-            push("t2" if m >= 2 else "t1", P12)
-        m += -2 if m >= 2 else 2
-    while not (0 <= n <= 1):
-        guard += 1
-        if guard > 10_000_000:
-            raise ReductionError("canonical shift did not terminate")
-        if family == "A":
-            push("t2" if n >= 2 else "t1", P12)
-        else:
-            push("s3" if n >= 2 else "s4", P34)
-        n += -2 if n >= 2 else 2
+    swaps = (_SWAPS[2], _SWAPS[3], (0, 1, 3, 2))
+    transposes = (_TRANSPOSES[1], _TRANSPOSES[0], (1, 0, 2, 3))
+    m = shift(m, *(swaps if family == "A" else transposes))
+    n = shift(n, *(transposes if family == "A" else swaps))
+    pos = cur if sign > 0 else mat_neg(cur)
 
     if pos != printed_form(family, m, n, g):
         raise ReductionError("reduction failed to reach a printed form")

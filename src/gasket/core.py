@@ -255,11 +255,19 @@ def row_to_circle(circle: Circle) -> Tuple[Scalar, Tuple[Scalar, Scalar]]:
 
 
 def validate_augmented(w: Sequence[Sequence[Scalar]]) -> bool:
-    """True when W is a genuine augmented matrix: W^T Q_D W = Q_W."""
+    """True when W is a genuine augmented matrix: W^T Q_D W = Q_W.
+
+    Q_D = I - (1/2) 1 1^T, so W^T Q_D W = W^T W - (1/2) c c^T with c the
+    column sums of W; the test 2 W^T W - c c^T == 2 Q_W has no halves and
+    stays in integers on an integer matrix.
+    """
     m = canon_matrix(w)
     if len(m) != 4 or any(len(r) != 4 for r in m):
         return False
-    return mat_mul(mat_mul(transpose(m), Q_D), m) == Q_W
+    cols = tuple(zip(*m))
+    c = [sum(col) for col in cols]
+    return all(2 * sum(x * y for x, y in zip(cols[i], cols[j])) - c[i] * c[j]
+               == 2 * Q_W[i][j] for i in range(4) for j in range(i, 4))
 
 
 def augmented_from_circles(circles: Sequence[Circle]) -> Matrix:

@@ -10,6 +10,10 @@ same order, separated by spaces.
 reduction step in the package goes through it.  A row permutation P
 relabels the generators, P^-1 k_i P = k_{p[i-1]+1} for k in {s, t} with
 (P v)_i = v_{p[i]}, so conjugating a letter needs no matrix arithmetic.
+
+``act_run`` applies a parabolic run a, b, a, ... of two letters of one
+kind in O(1) ``act`` calls whatever its length, since b·a is unipotent;
+the greedy reductions in ``classify`` jump along such runs with it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,44 @@ def act(l: GeneratorLetter, target):
         x = 2 * v[i]
         v = tuple(-y if k == i else y + x for k, y in enumerate(v))
     return v if type(total) is int else canon_row(v)
+
+
+def act_run(a: GeneratorLetter, b: GeneratorLetter, count: int, target):
+    """Apply ``count`` letters a, b, a, b, ... (a first) to ``target``.
+
+    a and b must be of one kind.  Then U = b·a satisfies (U - I)^3 = 0 (no
+    pair of mixed kinds does), so U^m = I + m(U - I) + C(m, 2)(U - I)^2 and
+    the state after 2m letters is x0 + m(x2 - x0) + C(m, 2)(x4 - 2 x2 + x0),
+    where x2 = U x0 and x4 = U^2 x0 take four ``act`` calls; an odd count
+    takes one more.  Targets and entry types are those of ``act``: int
+    input stays int, anything else is canonicalized.
+    """
+    if a.kind != b.kind:
+        raise WordError(f"{a.text} {b.text} is not a run of one kind")
+    if count < 0:
+        raise WordError(f"negative run length {count}")
+    if count <= 4:
+        for k in range(count):
+            target = act(b if k % 2 else a, target)
+        return target
+    m, odd = divmod(count, 2)
+    c2 = m * (m - 1) // 2
+    x2 = act(b, act(a, target))
+    x4 = act(b, act(a, x2))
+
+    def step(x0, y2, y4):
+        return tuple(p + m * (q - p) + c2 * (r - 2 * q + p)
+                     for p, q, r in zip(x0, y2, y4))
+
+    if isinstance(x2[0], tuple):
+        out = tuple(map(step, target, x2, x4))
+        if type(sum(map(sum, out))) is not int:
+            out = canon_matrix(out)
+    else:
+        out = step(target, x2, x4)
+        if type(sum(out)) is not int:
+            out = canon_row(out)
+    return act(a, out) if odd else out
 
 
 def generator_matrix(l: GeneratorLetter) -> Matrix:

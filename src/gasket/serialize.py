@@ -10,10 +10,10 @@ from .packing import PackedCircle
 
 
 def scalar_to_str(x: Scalar) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    # int has numerator and denominator too, so no Fraction is built.
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def scalar_from_str(s: str) -> Scalar:

@@ -12,10 +12,11 @@ from fractions import Fraction
 import pytest
 
 import gasket
+from gasket import cli
 from gasket.cli import EXIT_BROKEN_PIPE, main
 from gasket.core import W_STANDARD
 from gasket.packing import translate_row
-from gasket.serialize import matrix_to_json
+from gasket.serialize import matrix_to_json, scalar_to_str
 
 
 def run(capsys, *argv):
@@ -154,6 +155,56 @@ def test_usage_errors_exit_2(capsys):
         main(["check", "1", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "1", "2"])
+        assert exc.value.code == 2
+        assert "usage: gasket" in capsys.readouterr().err
+        code, out, _ = run(capsys, "root", "86", "11", "14", "15")
+        assert code == 0
+        assert json.loads(out)["root_quadruple"] == ["-6", "11", "14", "15"]
+        code, out, _ = run(capsys, "check", "-1", "2", "2", "3")
+        assert code == 0 and json.loads(out)["valid"] is True
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_check_quadruple_with_huge_curvatures(capsys):
+    # A parabolic run of 10^40 letters; the stepwise greedy never finished.
+    n = 10 ** 40
+    code, out, _ = run(capsys, "check", "0", "1", str(n * n), str((n + 1) ** 2))
+    assert code == 0
+    data = json.loads(out)
+    assert data["valid"] is True and data["divisor"] == 1
+    assert data["root_quadruple"] == ["0", "0", "1", "1"]
+
+
+def test_scalar_to_str_builds_no_fraction(monkeypatch):
+    values = (0, -12, 10 ** 30, Fraction(-7, 3))
+    original = vars(Fraction)["__new__"]
+    built = []
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert [scalar_to_str(x) for x in values] == \
+        ["0", "-12", str(10 ** 30), "-7/3"]
+    assert built == []
 
 
 def test_domain_errors_exit_1(capsys):

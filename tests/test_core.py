@@ -12,6 +12,8 @@ from gasket.core import (Circle, InvalidCircleError, InvalidQuadrupleError,
                          line_to_row, mat_mul, orientation, pair_relation,
                          row_to_circle, transpose, validate_augmented,
                          validate_quadruple)
+from gasket.group import ALL_LETTERS, act
+from gasket.packing import translate_row
 
 
 def test_descartes_defect_examples():
@@ -59,6 +61,27 @@ def test_validate_augmented():
     assert not validate_augmented(tuple(tuple(0 for _ in range(4))
                                         for _ in range(4)))
     assert not validate_augmented(((1, 0, 0, 0),) * 4)
+
+
+@given(st.lists(st.sampled_from(range(8)), max_size=12),
+       st.fractions(max_denominator=7), st.fractions(max_denominator=7),
+       st.integers(0, 16), st.sampled_from((0, 1, Fraction(1, 2))))
+def test_validate_augmented_matches_descartes_form(word, dx, dy, spot, bump):
+    # Valid matrices (moved and translated standard strips, with int or
+    # Fraction entries) and copies with one entry changed, against the
+    # definition W^T Q_D W = Q_W.
+    w = W_STANDARD
+    for k in word:
+        w = act(ALL_LETTERS[k], w)
+    w = tuple(translate_row(r, dx, dy) for r in w)
+    if spot < 16:
+        rows = [list(r) for r in w]
+        rows[spot // 4][spot % 4] = canon(rows[spot // 4][spot % 4] + bump)
+        w = tuple(map(tuple, rows))
+    expected = mat_mul(mat_mul(transpose(w), Q_D), w) == Q_W
+    assert validate_augmented(w) == expected
+    if spot == 16 or bump == 0:
+        assert expected
 
 
 def test_circle_row_round_trip():

@@ -1,6 +1,7 @@
 """Generators, words, normal forms and the Lorentz connection."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from gasket.core import (GasketError, Q_D, Q_L, W_STANDARD, identity_matrix,
                          mat_mul, mat_vec, transpose, validate_augmented)
 from gasket.group import (ALL_LETTERS, ALL_PERMUTATIONS, D_MATRIX,
                           GeneratorLetter, GroupWord, J0, WordError, act,
-                          apply, conjugate_J0, generator_matrix, is_aut_QD,
+                          act_run, apply, conjugate_J0, generator_matrix, is_aut_QD,
                           is_lorentz_integer, is_normal_form, letter,
                           lorentz_point, lorentz_point_inverse,
                           normalize_word, perm_matrix, stabilizer_matrix)
@@ -140,6 +141,49 @@ def test_act_matches_reference_matrix(l, cols, ints_only, data):
     assert [type(x) for x in flat_got] == [type(x) for x in flat_expected]
     if ints_only:
         assert all(type(x) is int for x in flat_got)
+
+
+def _typed(target):
+    flat = [x for r in target for x in r] if isinstance(target[0], tuple) \
+        else list(target)
+    return [(type(x), x) for x in flat]
+
+
+def test_act_run_matches_repeated_act():
+    pairs = [(a, b) for a in ALL_LETTERS for b in ALL_LETTERS
+             if a.kind == b.kind and a != b]
+    assert len(pairs) == 24
+    rng = random.Random(11)
+
+    def scalar():
+        # Sometimes an integral Fraction, which act canonicalizes.
+        return rng.choice((rng.randint(-50, 50),
+                           Fraction(rng.randint(-50, 50), rng.randint(1, 6))))
+
+    targets = (
+        tuple(rng.randint(-50, 50) for _ in range(4)),
+        tuple(scalar() for _ in range(4)),
+        tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(4)),
+        tuple(tuple(scalar() for _ in range(3)) for _ in range(4)),
+        W_STANDARD,
+        tuple(tuple(scalar() for _ in range(4)) for _ in range(4)),
+    )
+    checked = set(range(41)) | {333}
+    for a, b in pairs:
+        for target in targets:
+            want = target
+            for count in range(max(checked) + 1):
+                if count in checked:
+                    got = act_run(a, b, count, target)
+                    assert _typed(got) == _typed(want), (a, b, count)
+                want = act(b if count % 2 else a, want)
+
+
+def test_act_run_rejects_mixed_kinds_and_negative_counts():
+    with pytest.raises(WordError):
+        act_run(letter("s1"), letter("t2"), 10, (0, 0, 1, 1))
+    with pytest.raises(WordError):
+        act_run(letter("s1"), letter("s2"), -1, (0, 0, 1, 1))
 
 
 def test_j0_involution_and_lorentz_conjugation():
