@@ -200,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gasket",
         description="Exact Apollonian circle packings and super-packings.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count hint; execution is sequential "
-                             "and results never depend on this value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a curvature quadruple")
@@ -276,10 +273,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("GASKET_THREADS")
-        if env is not None and env.isdigit():
-            args.threads = int(env)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit

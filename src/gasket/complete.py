@@ -1,22 +1,28 @@
 """Completing three mutually tangent circles to tangent quadruples.
 
 Given three pairwise tangent circles (with distinct tangency points),
-there are exactly two circles tangent to all three.  Each completion is
-found exactly: the missing augmented row satisfies three linear pairing
-constraints against the known rows plus one quadratic normalization, all
-with rational coefficients, so the two solutions are rational whenever
-the discriminant is a rational square.
+there are exactly two circles tangent to all three, found in closed form.
+Pair rows by <u, v> = u Q_W^{-1} v^T, that is
+(u2 v2 + u3 v3) / 2 - (u0 v1 + u1 v0) / 4; the rows of an augmented
+matrix satisfy <w_i, w_j> = delta_ij - 1/2.  So
+the missing row x pairs to -1/2 with each known row and to 1/2 with
+itself.  The sum s = w1 + w2 + w3 already meets the three linear
+conditions, as <s, w_k> = 1/2 - 1 = -1/2, and so every solution is
+s + t d.  Here d = (-2 n1, -2 n0, n2, n3), with n the 4-D cross product
+of the three rows, pairs to 0 with each of them and with s.  Then
+<s, s> = 3/2 - 3 = -3/2 turns <x, x> = 1/2 into t^2 <d, d> = 2, that is
+t^2 = 8 / N with N = 4 <d, d> = 2 (d2^2 + d3^2) - 2 d0 d1.  The two
+completions s +- t d are rational exactly when 8 / N is a rational square.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .core import (Circle, GasketError, HALF, Matrix, Q_W_INV, Row, Scalar,
-                   TANGENT_RELATIONS, canon, canon_row, pair_relation,
-                   validate_augmented)
+from .core import (Circle, GasketError, Matrix, Row, Scalar, TANGENT_RELATIONS,
+                   canon, pair_relation, quotient, validate_augmented)
 
 
 class CompletionError(GasketError):
@@ -35,11 +41,6 @@ def sqrt_fraction(x: Scalar) -> Optional[Scalar]:
     return canon(Fraction(rn, rd))
 
 
-def _qw_inv_pair(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    return canon(sum(u[i] * sum(Q_W_INV[i][j] * v[j] for j in range(4))
-                     for i in range(4)))
-
-
 def _check_triple(circles: Sequence[Circle]) -> Tuple[Row, Row, Row]:
     if len(circles) != 3:
         raise CompletionError("expected exactly three circles")
@@ -53,6 +54,13 @@ def _check_triple(circles: Sequence[Circle]) -> Tuple[Row, Row, Row]:
     return rows
 
 
+def _det3(a: Sequence[Scalar], b: Sequence[Scalar],
+          c: Sequence[Scalar]) -> Scalar:
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
 def complete(c1: Circle, c2: Circle, c3: Circle) -> Tuple[Matrix, Matrix]:
     """Both tangent quadruples extending a pairwise tangent triple.
 
@@ -62,56 +70,25 @@ def complete(c1: Circle, c2: Circle, c3: Circle) -> Tuple[Matrix, Matrix]:
     (all tangent at one point) or the completions are irrational.
     """
     rows = _check_triple((c1, c2, c3))
-
-    # Linear part: the unknown row x pairs to -1/2 against each input row.
-    a = [tuple(sum(Q_W_INV[k][j] * w[k] for k in range(4)) for j in range(4))
-         for w in rows]
-    rhs = [Fraction(-1, 2)] * 3
-
-    # Gaussian elimination to a particular solution plus kernel direction.
-    mat = [list(map(Fraction, row)) + [rhs[i]] for i, row in enumerate(a)]
-    pivots: List[int] = []
-    r = 0
-    for col in range(4):
-        piv = next((i for i in range(r, 3) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(3):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == 3:
-            break
-    if r < 3:
+    # Signed 3x3 minors: n . w == 0 for each input row w.
+    n = [(-1) ** i * _det3(*(r[:i] + r[i + 1:] for r in rows))
+         for i in range(4)]
+    if not any(n):
         raise CompletionError(
             "degenerate triple: the circles share a common tangency point")
-    free = next(c for c in range(4) if c not in pivots)
-    p = [Fraction(0)] * 4
-    d = [Fraction(0)] * 4
-    d[free] = Fraction(1)
-    for i, col in enumerate(pivots):
-        p[col] = mat[i][4]
-        d[col] = -mat[i][free]
-
-    # Quadratic normalization: x Q_W^{-1} x^T = 1/2.
-    alpha = _qw_inv_pair(d, d)
-    beta = canon(2 * _qw_inv_pair(p, d))
-    gamma = canon(_qw_inv_pair(p, p) - HALF)
-    if alpha == 0:
+    d = (-2 * n[1], -2 * n[0], n[2], n[3])
+    big_n = 2 * (d[2] * d[2] + d[3] * d[3]) - 2 * d[0] * d[1]
+    if big_n == 0:
         raise CompletionError("degenerate triple: completion family collapses")
-    disc = canon(beta * beta - 4 * alpha * gamma)
-    root = sqrt_fraction(disc)
-    if root is None:
+    t = sqrt_fraction(quotient(8, big_n))
+    if t is None:
         raise CompletionError("completions are not rational for this triple")
+    s = [sum(col) for col in zip(*rows)]
+    # x = s +- t d over t's denominator, so integer rows stay int.
+    tn, td = t.numerator, t.denominator
     sols = []
     for sgn in (1, -1):
-        t = canon(Fraction(-beta + sgn * root) / (2 * alpha))
-        x = canon_row(tuple(p[j] + t * d[j] for j in range(4)))
+        x = tuple(quotient(td * s[j] + sgn * tn * d[j], td) for j in range(4))
         w = rows + (x,)
         if not validate_augmented(w):
             raise CompletionError("internal check failed: invalid completion")
@@ -161,13 +138,11 @@ def complex_descartes_quadratic_holds(w: Matrix) -> bool:
 
 
 def complex_descartes_linear_holds(w: Matrix) -> bool:
-    """sum b_i (b_i z_i) = (1/2)(sum b_i)(sum b_i z_i), exactly."""
-    lhs = (0, 0)
-    for r in w:
-        lhs = _cadd(lhs, (canon(r[1] * r[2]), canon(r[1] * r[3])))
-    sb = canon(sum(r[1] for r in w))
-    sz = (0, 0)
-    for r in w:
-        sz = _cadd(sz, (r[2], r[3]))
-    rhs = (canon(HALF * sb * sz[0]), canon(HALF * sb * sz[1]))
-    return (canon(2 * lhs[0]), canon(2 * lhs[1])) == (canon(2 * rhs[0]), canon(2 * rhs[1]))
+    """sum b_i (b_i z_i) = (1/2)(sum b_i)(sum b_i z_i), exactly.
+
+    Tested doubled, 2 sum b_i (b_i z_i) == (sum b_i)(sum b_i z_i), one
+    coordinate of b_i z_i at a time.
+    """
+    sb = sum(r[1] for r in w)
+    return all(2 * sum(r[1] * r[k] for r in w) == sb * sum(r[k] for r in w)
+               for k in (2, 3))

@@ -47,6 +47,18 @@ def canon(x) -> Scalar:
     return f
 
 
+def quotient(num: Scalar, den: Scalar) -> Scalar:
+    """Exact num / den, an int whenever the quotient is integral.
+
+    Two int operands are divided with divmod, so a Fraction is built only
+    for a quotient that is not an integer.
+    """
+    if isinstance(num, int) and isinstance(den, int):
+        q, r = divmod(num, den)
+        return q if r == 0 else Fraction(num, den)
+    return canon(num / den)
+
+
 def canon_row(row: Sequence) -> Row:
     vals = tuple(canon(x) for x in row)
     return vals
@@ -96,13 +108,6 @@ Q_L: Matrix = ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 # Form satisfied by augmented matrices: W^T Q_D W = Q_W.
 Q_W: Matrix = ((0, -4, 0, 0), (-4, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
-
-# Inverse of Q_W, used when solving for missing rows.
-Q_W_INV: Matrix = canon_matrix((
-    (0, Fraction(-1, 4), 0, 0),
-    (Fraction(-1, 4), 0, 0, 0),
-    (0, 0, HALF, 0),
-    (0, 0, 0, HALF)))
 
 # The standard strip configuration: lines y = 1 and y = -1 plus unit
 # circles centered at (1, 0) and (-1, 0).
@@ -293,34 +298,26 @@ def curvatures(m: Matrix) -> Tuple[Scalar, ...]:
 def extend_to_augmented(m: Sequence[Sequence[Scalar]]) -> Matrix:
     """Recover the unique augmented matrix of a 4x3 configuration.
 
-    Cocurvatures of proper circles follow from the row invariant; the one
-    for a line row is pinned down by its pairing against any circle row
-    under the inverse form.
+    A circle row's cocurvature follows from the row invariant,
+    bbar = (bx^2 + by^2 - 1) / b.  Rows of an augmented matrix pair as
+    <w_i, w_j> = delta_ij - 1/2 under <u, v> = u Q_W^{-1} v^T
+    = (u2 v2 + u3 v3) / 2 - (u0 v1 + u1 v0) / 4, so a line row i (b_i = 0,
+    unit normal n_i) and the first circle row j give
+    bbar_i = (2 (n_i . (bz)_j) + 2) / b_j.
     """
     cfg = canon_matrix(m)
     if len(cfg) != 4 or any(len(r) != 3 for r in cfg):
         raise InvalidCircleError("expected a 4x3 configuration matrix")
-    bbars: list = [None] * 4
-    circle_rows = []
-    for i, (b, bx, by) in enumerate(cfg):
-        if b != 0:
-            bbars[i] = canon(Fraction(bx * bx + by * by - 1) / b)
-            circle_rows.append(i)
-    if not circle_rows:
+    j = next((i for i, r in enumerate(cfg) if r[0] != 0), None)
+    if j is None:
         raise InvalidCircleError("configuration has no proper circle row")
-    j = circle_rows[0]
-    wj = (bbars[j],) + cfg[j]
-    for i in range(4):
-        if bbars[i] is None:
-            # w_i Q_W^{-1} w_j^T = (Q_D)_{ij} with b_i = 0 is linear in bbar_i.
-            b, bx, by = cfg[i]
-            qd = Q_D[i][j]
-            rhs = canon(qd - HALF * (bx * wj[2] + by * wj[3]))
-            bbars[i] = canon(rhs / (Fraction(-1, 4) * wj[1]))
-    w = tuple((bbars[i],) + cfg[i] for i in range(4))
+    bj, xj, yj = cfg[j]
+    w = tuple((quotient(bx * bx + by * by - 1, b) if b != 0
+               else quotient(2 * (bx * xj + by * yj) + 2, bj), b, bx, by)
+              for b, bx, by in cfg)
     if not validate_augmented(w):
         raise InvalidCircleError("configuration does not extend to a tangent quadruple")
-    return canon_matrix(w)
+    return w
 
 
 class PairRelation(enum.Enum):

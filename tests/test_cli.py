@@ -214,10 +214,14 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "error:" in err
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--threads", "4", "check", "0", "0", "1", "1")
-    assert code == 0
-    assert json.loads(out)["valid"] is True
+def test_threads_flag_rejected(capsys):
+    # --threads was parsed and never used; it is no longer an option.
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "check", "0", "0", "1", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: gasket" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

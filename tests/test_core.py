@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from gasket.core import (Circle, InvalidCircleError, InvalidQuadrupleError,
                          PairRelation, Q_D, Q_W, W_STANDARD, canon,
-                         circle_from_row, circle_to_row, config_of,
-                         descartes_defect, divisor, extend_to_augmented,
-                         line_to_row, mat_mul, orientation, pair_relation,
-                         row_to_circle, transpose, validate_augmented,
-                         validate_quadruple)
+                         canon_matrix, circle_from_row, circle_to_row,
+                         config_of, descartes_defect, divisor,
+                         extend_to_augmented, line_to_row, mat_mul,
+                         orientation, pair_relation, quotient, row_to_circle,
+                         transpose, validate_augmented, validate_quadruple)
 from gasket.group import ALL_LETTERS, act
 from gasket.packing import translate_row
 
@@ -114,6 +114,95 @@ def test_extend_to_augmented_recovers_cocurvatures():
     w = extend_to_augmented(m)
     assert validate_augmented(w)
     assert tuple(r[1:] for r in w) == m
+    assert _extend_outcome(extend_to_augmented, m[:3]) == \
+        "expected a 4x3 configuration matrix"
+    lines = ((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0))
+    assert _extend_outcome(extend_to_augmented, lines) == \
+        "configuration has no proper circle row"
+
+
+def test_quotient_is_exact():
+    assert quotient(12, -4) == -3 and type(quotient(12, -4)) is int
+    assert quotient(-7, 21) == Fraction(-1, 3)
+    assert quotient(Fraction(9, 2), Fraction(3, 2)) == 3
+    assert type(quotient(Fraction(9, 2), Fraction(3, 2))) is int
+    assert quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+
+
+# The body `extend_to_augmented` had before its closed forms, kept as the
+# reference it is compared with: line rows are solved through Q_W^{-1}.
+def _reference_extend(m):
+    cfg = canon_matrix(m)
+    if len(cfg) != 4 or any(len(r) != 3 for r in cfg):
+        raise InvalidCircleError("expected a 4x3 configuration matrix")
+    bbars = [None] * 4
+    circle_rows = []
+    for i, (b, bx, by) in enumerate(cfg):
+        if b != 0:
+            bbars[i] = canon(Fraction(bx * bx + by * by - 1) / b)
+            circle_rows.append(i)
+    if not circle_rows:
+        raise InvalidCircleError("configuration has no proper circle row")
+    j = circle_rows[0]
+    wj = (bbars[j],) + cfg[j]
+    for i in range(4):
+        if bbars[i] is None:
+            b, bx, by = cfg[i]
+            rhs = canon(Q_D[i][j] - Fraction(1, 2) * (bx * wj[2] + by * wj[3]))
+            bbars[i] = canon(rhs / (Fraction(-1, 4) * wj[1]))
+    w = tuple((bbars[i],) + cfg[i] for i in range(4))
+    if not validate_augmented(w):
+        raise InvalidCircleError(
+            "configuration does not extend to a tangent quadruple")
+    return canon_matrix(w)
+
+
+def _extend_outcome(extend, cfg):
+    """Result with the type of every entry, or the error text."""
+    try:
+        w = extend(cfg)
+    except InvalidCircleError as exc:
+        return str(exc)
+    return w, [[type(x) for x in r] for r in w]
+
+
+@given(st.lists(st.integers(0, 7), max_size=12),
+       st.fractions(min_value=-5, max_value=5, max_denominator=9),
+       st.fractions(min_value=-5, max_value=5, max_denominator=9),
+       st.permutations(range(4)), st.integers(0, 12),
+       st.sampled_from((1, -1, 3, Fraction(1, 2))))
+def test_extend_to_augmented_matches_reference(word, dx, dy, order, spot,
+                                               bump):
+    # Moved, translated and shuffled standard strips, and copies with one
+    # entry changed, against the body solved through Q_W^{-1}.
+    w = W_STANDARD
+    for k in word:
+        w = act(ALL_LETTERS[k], w)
+    moved = tuple(translate_row(w[i], dx, dy) for i in order)
+    cfg = [list(r[1:]) for r in moved]
+    if spot < 12:
+        cfg[spot // 3][spot % 3] = canon(cfg[spot // 3][spot % 3] + bump)
+    expected = _extend_outcome(_reference_extend, cfg)
+    assert _extend_outcome(extend_to_augmented, cfg) == expected
+    if spot == 12:
+        assert expected[0] == moved
+    elif all(isinstance(x, int) for r in cfg for x in r):
+        # An odd change to one entry of an integer configuration moves that
+        # column's Descartes form by an odd amount, so nothing extends it.
+        assert isinstance(expected, str)
+
+
+def test_extend_to_augmented_builds_no_fraction_on_integers(fractions_built):
+    configs = []
+    w = W_STANDARD
+    for k in (0, 5, 2, 7, 1, 4, 6, 3, 0, 6):
+        w = act(ALL_LETTERS[k], w)
+        configs.append((w, config_of(w)))
+        configs.append((w[::-1], config_of(w[::-1])))
+    before = fractions_built[0]
+    results = [(w, extend_to_augmented(cfg)) for w, cfg in configs]
+    assert fractions_built[0] == before
+    assert all(w == got for w, got in results)
 
 
 def test_pair_relation_circles():

@@ -1,7 +1,6 @@
 """Deterministic SVG rendering and residue-class mirror symmetry."""
 
 import pathlib
-from fractions import Fraction
 
 import pytest
 
@@ -16,24 +15,6 @@ UNIT_WINDOW = Window(0, 1, 0, 1)
 def unit_square_set(bound=100):
     return generate_superpacking(
         W_STANDARD, EnumerationBudget(bound, window=UNIT_WINDOW))
-
-
-@pytest.fixture
-def fractions_built():
-    """Counts Fraction constructions; the constructor is restored after the
-    test."""
-    original = vars(Fraction)["__new__"]
-    count = [0]
-
-    def counting_new(cls, *args, **kwargs):
-        count[0] += 1
-        return original.__func__(cls, *args, **kwargs)
-
-    Fraction.__new__ = staticmethod(counting_new)
-    try:
-        yield count
-    finally:
-        Fraction.__new__ = original
 
 
 def test_integer_rows_build_no_fractions_per_circle(fractions_built):
