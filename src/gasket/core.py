@@ -38,9 +38,15 @@ class InvalidCircleError(GasketError):
 
 
 def canon(x) -> Scalar:
-    """Coerce to an exact scalar, collapsing integral fractions to int."""
+    """Coerce to an exact scalar, collapsing integral fractions to int.
+
+    A Fraction is always in lowest terms, so one that is not integral is
+    already canonical and comes back as it is.
+    """
     if isinstance(x, int):
         return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     f = Fraction(x)
     if f.denominator == 1:
         return f.numerator
@@ -191,6 +197,9 @@ class Circle:
     cy: Scalar
 
     def __post_init__(self):
+        if type(self.cocurvature) is type(self.curvature) is type(self.cx) \
+                is type(self.cy) is int:
+            return  # already exact; enumeration builds many of these
         object.__setattr__(self, "cocurvature", canon(self.cocurvature))
         object.__setattr__(self, "curvature", canon(self.curvature))
         object.__setattr__(self, "cx", canon(self.cx))

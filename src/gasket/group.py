@@ -7,7 +7,9 @@ transposes (written ``t1``..``t4``).  Words are stored latest-first, so
 same order, separated by spaces.
 
 ``act`` is the single action of a generator: every matrix, word and
-reduction step in the package goes through it.  A row permutation P
+reduction step in the package goes through it, except the enumeration
+step in ``packing``, which builds only the rows a child changes from its
+parent's column sums.  A row permutation P
 relabels the generators, P^-1 k_i P = k_{p[i-1]+1} for k in {s, t} with
 (P v)_i = v_{p[i]}, so conjugating a letter needs no matrix arithmetic.
 
@@ -19,7 +21,7 @@ the greedy reductions in ``classify`` jump along such runs with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
@@ -37,14 +39,13 @@ class GeneratorLetter:
 
     kind: str
     index: int
+    # Computed once: word text reads it for every letter it prints.
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("s", "t") or self.index not in (1, 2, 3, 4):
             raise WordError(f"bad letter {self.kind}{self.index}")
-
-    @property
-    def text(self) -> str:
-        return f"{self.kind}{self.index}"
+        object.__setattr__(self, "text", f"{self.kind}{self.index}")
 
     def matrix(self) -> Matrix:
         return generator_matrix(self)
@@ -152,7 +153,7 @@ class GroupWord:
 
     @property
     def text(self) -> str:
-        return " ".join(l.text for l in self.letters)
+        return " ".join([l.text for l in self.letters])
 
     @staticmethod
     def from_text(text: str) -> "GroupWord":

@@ -24,6 +24,21 @@ misses the requested window.  Region bounds are exact rationals kept as
 ``(num, den)`` pairs with ``den > 0`` and compared by cross-multiplying,
 and the window test works over the window's common denominator, so an
 integer base is enumerated in integer arithmetic alone.
+
+One step pays only for the children it keeps.  Each frontier entry
+carries its matrix's column sums c, so a swap's new curvature
+2 Σb - 3 b_i is known before any row is built, and an away swap past
+the bound is dropped as a scalar.  A kept swap builds one row,
+2c - 3 row_i, and the child's sums are c - row_i + that row, which is
+3c - 4 row_i; a transpose builds its child directly, with sums
+c + 4 row_i.  Words are parent links, (letter, parent cell), with the
+length and the transpose count (the depth) carried beside them, and a
+letter tuple is built only for a witness that is stored.  The base is
+validated once, and the group maps an integer augmented matrix to integer
+ones whose rows keep the row invariant, so an integer base needs no
+``canon`` per step: each stored row gets one integer invariant test and
+becomes a circle as it is.  A rational base is canonicalized entry by
+entry in the same loop.
 """
 
 from __future__ import annotations
@@ -34,11 +49,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .core import (Circle, GasketError, Matrix, Row, Scalar, W_STANDARD,
-                   canon, canon_matrix, canon_row, circle_from_row, divisor,
-                   orientation, validate_augmented)
+from .core import (Circle, GasketError, InvalidCircleError, Matrix, Row,
+                   Scalar, W_STANDARD, canon, canon_matrix, canon_row,
+                   circle_from_row, divisor, orientation, validate_augmented)
 from .classify import is_root_quadruple, reduce_to_ground, root_quadruple
-from .group import ALL_LETTERS, GeneratorLetter, GroupWord, act, apply
+from .group import ALL_LETTERS, GeneratorLetter, GroupWord, apply
 
 
 class EnumerationError(GasketError):
@@ -105,21 +120,18 @@ FULL_PLANE: Box = (None, None, None, None)
 
 
 def _box_intersect(a: Box, b: Box) -> Optional[Box]:
-    def lo(x, y):  # the larger lower bound
-        if x is None or (y is not None and x[0] * y[1] < y[0] * x[1]):
-            return y
-        return x
-
-    def hi(x, y):  # the smaller upper bound
-        if x is None or (y is not None and y[0] * x[1] < x[0] * y[1]):
-            return y
-        return x
-
-    out = (lo(a[0], b[0]), hi(a[1], b[1]), lo(a[2], b[2]), hi(a[3], b[3]))
-    for low, high in ((out[0], out[1]), (out[2], out[3])):
-        if low is not None and high is not None and \
-                high[0] * low[1] < low[0] * high[1]:
+    """The intersection of two boxes, or None when it is empty."""
+    out = ()
+    for k in (0, 2):
+        lo, hi, lo2, hi2 = a[k], a[k + 1], b[k], b[k + 1]
+        if lo is None or (lo2 is not None and lo[0] * lo2[1] < lo2[0] * lo[1]):
+            lo = lo2  # the larger lower bound
+        if hi is None or (hi2 is not None and hi2[0] * hi[1] < hi[0] * hi2[1]):
+            hi = hi2  # the smaller upper bound
+        if lo is not None and hi is not None and \
+                hi[0] * lo[1] < lo[0] * hi[1]:
             return None
+        out += (lo, hi)
     return out
 
 
@@ -207,6 +219,23 @@ def _witness_key(letters: Tuple[GeneratorLetter, ...]):
     return len(letters), [(l.kind, l.index) for l in letters]
 
 
+def _letters(cell) -> Tuple[GeneratorLetter, ...]:
+    """The letters of a parent-linked word, latest first."""
+    out = []
+    while cell is not None:
+        l, cell = cell
+        out.append(l)
+    return tuple(out)
+
+
+def _replaces(n: int, cell, prev: PackedCircle) -> bool:
+    """Does a witness of length n, given as a word cell, beat the stored
+    one?  Breadth-first order never offers a shorter witness than a stored
+    one, so only an equal length can win, by ``_witness_key``."""
+    return n == len(prev.witness) and \
+        _witness_key(_letters(cell)) < _witness_key(prev.witness.letters)
+
+
 _EXPANSION_GUARD = 5_000_000
 
 
@@ -218,9 +247,10 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
     if orientation(tuple(r[1] for r in w0)) < 0:
         raise GasketError("enumeration needs a positively oriented base")
     maxcurv = budget.max_curvature
+    maxlen = budget.max_word_length
     window = budget.window
     wbox = _window_box(window) if window is not None else None
-    if window is None and budget.max_word_length is None:
+    if window is None and maxlen is None:
         # A curvature bound alone only terminates for packings that stay
         # inside a bounding circle.  Super moves always reach quadruples
         # with lines, and those walk sideways forever.
@@ -233,69 +263,80 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
             raise EnumerationError(
                 "packings containing lines need a window or a word-length"
                 " bound: they extend along the lines forever")
+    # The group keeps integer rows integral, so an integer base needs no
+    # canon per step; a rational one is canonicalized as it goes.
+    exact = all(type(x) is int for r in w0 for x in r)
 
     emitted: Dict[Row, PackedCircle] = {}
 
-    def emit(row: Row, word_applied: Tuple[GeneratorLetter, ...],
-             skip_curvature: bool = False):
-        if not skip_curvature and abs(row[1]) > maxcurv:
-            return
+    def emit(row: Row, n: int, cell, depth: int):
         if window is not None and not window_touches(row, window):
             return
-        neg = tuple(-x for x in row)
-        if neg in emitted:
+        if tuple(-x for x in row) in emitted:
             return  # same circle, opposite orientation, already present
-        letters = tuple(reversed(word_applied))
         prev = emitted.get(row)
-        if prev is not None and \
-                _witness_key(letters) >= _witness_key(prev.witness.letters):
+        if prev is not None and not _replaces(n, cell, prev):
             return
-        word = GroupWord(letters)
-        emitted[row] = PackedCircle(circle_from_row(row), word.perp_count(),
-                                    word)
+        if exact:
+            # The row invariant; b = 0 makes it a unit normal for a line.
+            bbar, b, bx, by = row
+            if bbar * b != bx * bx + by * by - 1:
+                raise InvalidCircleError(f"row invariant fails for {row}")
+            circle = Circle(*row)
+        else:
+            circle = circle_from_row(row)
+        emitted[row] = PackedCircle(circle, depth, GroupWord(_letters(cell)))
 
     for row in w0:
-        emit(row, (), skip_curvature=True)
+        emit(row, 0, None, 0)
 
-    # State: (matrix, last letter, applied-order word, region box).
+    # State: (matrix, column sums, last letter, word cell, word length,
+    # depth, region box); a word cell is (letter, parent cell) or None.
     frontier = deque()
-    frontier.append((w0, None, (), FULL_PLANE))
+    frontier.append((w0, tuple(map(sum, zip(*w0))), None, None, 0, 0,
+                     FULL_PLANE))
     expansions = 0
     while frontier:
-        wm, last, word_applied, region = frontier.popleft()
-        if budget.max_word_length is not None and \
-                len(word_applied) >= budget.max_word_length:
+        wm, cs, last, cell, n, depth, region = frontier.popleft()
+        if maxlen is not None and n >= maxlen:
             continue
         expansions += 1
         if expansions > _EXPANSION_GUARD:
             raise EnumerationError(
                 "the budget does not bound this enumeration")
-        curv = tuple(r[1] for r in wm)
-        zero_rows = [i for i in range(4) if curv[i] == 0]
+        n += 1  # the children's word length
+        c0, c1, c2, c3 = cs
         for l in _NEXT_LETTERS[last, super_moves]:
             i = l.index - 1
+            x0, b_old, x2, x3 = wm[i]
             region2 = region
             if l.kind == "s":
-                child = act(l, wm)
-                new_row = child[i]
-                b_new, b_old = new_row[1], curv[i]
-                child_word = word_applied + (l,)
-                emit(new_row, child_word)
-                if b_new >= b_old and abs(b_new) > maxcurv:
+                b_new = 2 * c1 - 3 * b_old
+                keep = abs(b_new) <= maxcurv
+                if not keep and b_new >= b_old:
                     continue  # away move past the bound: subtree only grows
-                if b_new == b_old and len(zero_rows) == 2:
+                new_row = (2 * c0 - 3 * x0, b_new, 2 * c2 - 3 * x2,
+                           2 * c3 - 3 * x3)
+                child_cs = (3 * c0 - 4 * x0, 3 * c1 - 4 * b_old,
+                            3 * c2 - 4 * x2, 3 * c3 - 4 * x3)
+                if not exact:
+                    new_row, child_cs = canon_row(new_row), canon_row(child_cs)
+                child_cell = (l, cell)
+                if keep:
+                    emit(new_row, n, child_cell, depth)
+                child = wm[:i] + (new_row,) + wm[i + 1:]
+                child_depth = depth
+                if b_new == b_old and sum(r[1] == 0 for r in wm) == 2:
                     # Ground walk: the branch moves past the tangency
                     # point of the two equal circles, along the lines.
                     # That point is the midpoint of their centres, and
                     # b_new * b_j > 0 (Descartes: (0, 0, c, d) has c = d),
                     # so the cross-multiplied differences below have the
                     # signs of the centre differences.
-                    j = next(k for k in range(4) if k != i and curv[k] != 0)
-                    b_j = curv[j]
-                    xi, yi = wm[i][2:]
-                    xj, yj = wm[j][2:]
-                    tx = (xi * b_j + xj * b_old, 2 * b_old * b_j)
-                    ty = (yi * b_j + yj * b_old, 2 * b_old * b_j)
+                    j = next(k for k in range(4) if k != i and wm[k][1] != 0)
+                    b_j, xj, yj = wm[j][1:]
+                    tx = (x2 * b_j + xj * b_old, 2 * b_old * b_j)
+                    ty = (x3 * b_j + yj * b_old, 2 * b_old * b_j)
                     dx = new_row[2] * b_j - xj * b_new
                     dy = new_row[3] * b_j - yj * b_new
                     half = FULL_PLANE
@@ -305,32 +346,41 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                     elif dx == 0 and dy != 0:
                         half = (None, None, ty, None) if dy > 0 \
                             else (None, None, None, ty)
-                    nxt = _box_intersect(region2, half)
-                    if nxt is None:
+                    region2 = _box_intersect(region, half)
+                    if region2 is None:
                         continue
-                    region2 = nxt
             else:
-                b_i = curv[i]
-                if b_i > 0 and b_i >= maxcurv:
+                if b_old > 0 and b_old >= maxcurv:
                     continue  # everything nested inside exceeds the bound
-                if b_i > 0:
-                    nxt = _box_intersect(region2, _circle_bbox(wm[i]))
-                    if nxt is None:
-                        continue
-                    region2 = nxt
-                elif b_i == 0:
-                    nxt = _box_intersect(region2, _line_halfplane_box(wm[i]))
-                    if nxt is None:
-                        continue
-                    region2 = nxt
-                child = act(l, wm)
-                child_word = word_applied + (l,)
+                if b_old > 0:
+                    region2 = _box_intersect(region, _circle_bbox(wm[i]))
+                elif b_old == 0:
+                    region2 = _box_intersect(region,
+                                             _line_halfplane_box(wm[i]))
+                if region2 is None:
+                    continue
+                # t_i adds twice row i to every other row and negates it.
+                y0, y1, y2, y3 = 2 * x0, 2 * b_old, 2 * x2, 2 * x3
+                rows = [(r0 + y0, r1 + y1, r2 + y2, r3 + y3)
+                        for r0, r1, r2, r3 in wm]
+                rows[i] = (-x0, -b_old, -x2, -x3)
+                child_cs = (c0 + 2 * y0, c1 + 2 * y1, c2 + 2 * y2,
+                            c3 + 2 * y3)
+                if not exact:
+                    rows, child_cs = canon_matrix(rows), canon_row(child_cs)
+                child = tuple(rows)
+                child_cell = (l, cell)
+                child_depth = depth + 1
                 for k in range(4):
-                    if k != i:
-                        emit(child[k], child_word)
-            if wbox is not None and _box_intersect(region2, wbox) is None:
+                    if k != i and abs(child[k][1]) <= maxcurv:
+                        emit(child[k], n, child_cell, child_depth)
+            # The parent's region meets the window, so only a narrowed
+            # region needs the test.
+            if wbox is not None and region2 is not region and \
+                    _box_intersect(region2, wbox) is None:
                 continue
-            frontier.append((child, l, child_word, region2))
+            frontier.append((child, child_cs, l, child_cell, n, child_depth,
+                             region2))
 
     return tuple(emitted[row] for row in sorted(emitted))
 

@@ -129,6 +129,19 @@ def test_quotient_is_exact():
     assert quotient(Fraction(1, 2), 3) == Fraction(1, 6)
 
 
+def test_canon_keeps_canonical_fractions(fractions_built):
+    f = Fraction(5, 7)
+    assert canon(f) is f
+    assert canon(Fraction(6, 3)) == 2 and type(canon(Fraction(6, 3))) is int
+    moved = tuple(translate_row(r, Fraction(1, 3), Fraction(1, 7))
+                  for r in W_STANDARD)
+    assert sum(type(x) is Fraction for r in moved for x in r) == 8
+    before = fractions_built[0]
+    assert validate_augmented(moved)
+    # Copying each entry through Fraction(x) took 95 constructions here.
+    assert fractions_built[0] - before < 95
+
+
 # The body `extend_to_augmented` had before its closed forms, kept as the
 # reference it is compared with: line rows are solved through Q_W^{-1}.
 def _reference_extend(m):

@@ -70,6 +70,18 @@ def test_word_text_round_trip():
         GroupWord.from_text("s5")
 
 
+def test_letter_text_is_precomputed():
+    for l in ALL_LETTERS:
+        assert l.text == l.kind + str(l.index)
+        assert letter(l.text) == l and hash(letter(l.text)) == hash(l)
+        assert repr(l) == f"GeneratorLetter(kind={l.kind!r}, index={l.index})"
+    assert len({l.text for l in ALL_LETTERS}) == 8
+    w = GroupWord(tuple(ALL_LETTERS[k] for k in (3, 7, 0, 4, 4, 2, 6, 1, 5)))
+    assert w.text == "s4 t4 s1 t1 t1 s3 t3 s2 t2"
+    assert GroupWord.from_text(w.text) == w
+    assert GroupWord.from_text("") == GroupWord()
+
+
 def test_normal_form_rules():
     # Applied order: s2 then t1 is fine, s2 then t3 is not.
     assert is_normal_form(GroupWord.from_text("t2 s2"))

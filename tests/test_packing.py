@@ -1,14 +1,22 @@
 """Enumeration of packings and super-packings, nesting, and location."""
 
+import sys
 from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gasket.core import W_STANDARD, canon, circle_from_row, validate_augmented
-from gasket.group import ALL_LETTERS, apply, is_normal_form
-from gasket.packing import (EnumerationBudget, EnumerationError, Window,
+from gasket.classify import root_quadruple
+from gasket.core import (GasketError, W_STANDARD, canon, canon_matrix,
+                         canon_row, circle_from_row, orientation,
+                         validate_augmented)
+from gasket.group import ALL_LETTERS, GroupWord, act, apply, is_normal_form
+from gasket.packing import (FULL_PLANE, EnumerationBudget, EnumerationError,
+                            PackedCircle, Window, _EXPANSION_GUARD,
+                            _NEXT_LETTERS, _box_intersect, _circle_bbox,
+                            _enumerate, _letters, _line_halfplane_box,
+                            _replaces, _window_box, _witness_key,
                             bounding_packing, contains_oriented,
                             generate_packing, generate_superpacking,
                             locate_in_unit_square, nesting_depth_geometric,
@@ -310,3 +318,270 @@ def test_bounding_packing_truncation_flag():
     inside, truncated = bounding_packing(smallest, res)
     assert truncated
     assert inside == (smallest,)
+
+
+def _reference_box_intersect(a, b):
+    """The box intersection as it was before the lean step."""
+    def lo(x, y):  # the larger lower bound
+        if x is None or (y is not None and x[0] * y[1] < y[0] * x[1]):
+            return y
+        return x
+
+    def hi(x, y):  # the smaller upper bound
+        if x is None or (y is not None and y[0] * x[1] < x[0] * y[1]):
+            return y
+        return x
+
+    out = (lo(a[0], b[0]), hi(a[1], b[1]), lo(a[2], b[2]), hi(a[3], b[3]))
+    for low, high in ((out[0], out[1]), (out[2], out[3])):
+        if low is not None and high is not None and \
+                high[0] * low[1] < low[0] * high[1]:
+            return None
+    return out
+
+
+_BOUNDS = st.one_of(st.none(), st.tuples(st.integers(-6, 6),
+                                         st.integers(1, 4)))
+
+
+@settings(max_examples=500)
+@given(st.tuples(*[_BOUNDS] * 4), st.tuples(*[_BOUNDS] * 4))
+def test_box_intersect_matches_reference(a, b):
+    assert _box_intersect(a, b) == _reference_box_intersect(a, b)
+
+
+def _reference_enumerate(base, budget, super_moves):
+    """The enumeration loop as it was before the lean step: every child
+    is built through ``act`` and every word is copied as a tuple."""
+    w0 = canon_matrix(base)
+    if not validate_augmented(w0):
+        raise GasketError("base matrix is not a tangent quadruple")
+    if orientation(tuple(r[1] for r in w0)) < 0:
+        raise GasketError("enumeration needs a positively oriented base")
+    maxcurv = budget.max_curvature
+    window = budget.window
+    wbox = _window_box(window) if window is not None else None
+    if window is None and budget.max_word_length is None:
+        if super_moves:
+            raise EnumerationError(
+                "super-packing enumeration needs a window or a word-length"
+                " bound: the orbit meets every region of the plane")
+        root = root_quadruple(tuple(r[1] for r in w0))
+        if min(root) == 0:
+            raise EnumerationError(
+                "packings containing lines need a window or a word-length"
+                " bound: they extend along the lines forever")
+
+    emitted = {}
+
+    def emit(row, word_applied, skip_curvature=False):
+        if not skip_curvature and abs(row[1]) > maxcurv:
+            return
+        if window is not None and not window_touches(row, window):
+            return
+        neg = tuple(-x for x in row)
+        if neg in emitted:
+            return
+        letters = tuple(reversed(word_applied))
+        prev = emitted.get(row)
+        if prev is not None and \
+                _witness_key(letters) >= _witness_key(prev.witness.letters):
+            return
+        word = GroupWord(letters)
+        emitted[row] = PackedCircle(circle_from_row(row), word.perp_count(),
+                                    word)
+
+    for row in w0:
+        emit(row, (), skip_curvature=True)
+
+    frontier = deque()
+    frontier.append((w0, None, (), FULL_PLANE))
+    expansions = 0
+    while frontier:
+        wm, last, word_applied, region = frontier.popleft()
+        if budget.max_word_length is not None and \
+                len(word_applied) >= budget.max_word_length:
+            continue
+        expansions += 1
+        if expansions > _EXPANSION_GUARD:
+            raise EnumerationError(
+                "the budget does not bound this enumeration")
+        curv = tuple(r[1] for r in wm)
+        zero_rows = [i for i in range(4) if curv[i] == 0]
+        for l in _NEXT_LETTERS[last, super_moves]:
+            i = l.index - 1
+            region2 = region
+            if l.kind == "s":
+                child = act(l, wm)
+                new_row = child[i]
+                b_new, b_old = new_row[1], curv[i]
+                child_word = word_applied + (l,)
+                emit(new_row, child_word)
+                if b_new >= b_old and abs(b_new) > maxcurv:
+                    continue
+                if b_new == b_old and len(zero_rows) == 2:
+                    j = next(k for k in range(4) if k != i and curv[k] != 0)
+                    b_j = curv[j]
+                    xi, yi = wm[i][2:]
+                    xj, yj = wm[j][2:]
+                    tx = (xi * b_j + xj * b_old, 2 * b_old * b_j)
+                    ty = (yi * b_j + yj * b_old, 2 * b_old * b_j)
+                    dx = new_row[2] * b_j - xj * b_new
+                    dy = new_row[3] * b_j - yj * b_new
+                    half = FULL_PLANE
+                    if dy == 0 and dx != 0:
+                        half = (tx, None, None, None) if dx > 0 \
+                            else (None, tx, None, None)
+                    elif dx == 0 and dy != 0:
+                        half = (None, None, ty, None) if dy > 0 \
+                            else (None, None, None, ty)
+                    nxt = _reference_box_intersect(region2, half)
+                    if nxt is None:
+                        continue
+                    region2 = nxt
+            else:
+                b_i = curv[i]
+                if b_i > 0 and b_i >= maxcurv:
+                    continue
+                if b_i > 0:
+                    nxt = _reference_box_intersect(region2,
+                                                   _circle_bbox(wm[i]))
+                    if nxt is None:
+                        continue
+                    region2 = nxt
+                elif b_i == 0:
+                    nxt = _reference_box_intersect(
+                        region2, _line_halfplane_box(wm[i]))
+                    if nxt is None:
+                        continue
+                    region2 = nxt
+                child = act(l, wm)
+                child_word = word_applied + (l,)
+                for k in range(4):
+                    if k != i:
+                        emit(child[k], child_word)
+            if wbox is not None and \
+                    _reference_box_intersect(region2, wbox) is None:
+                continue
+            frontier.append((child, l, child_word, region2))
+
+    return tuple(emitted[row] for row in sorted(emitted))
+
+
+def _outcome(enumerate_, base, budget, super_moves):
+    """Everything an enumeration shows: rows with their entry types,
+    depths and witness letters, or the error it raised."""
+    try:
+        res = enumerate_(base, budget, super_moves)
+    except GasketError as exc:
+        return type(exc), str(exc)
+    return [(pc.circle.row(), tuple(map(type, pc.circle.row())), pc.depth,
+             pc.witness.letters) for pc in res]
+
+
+_BASES = (W_STANDARD, BOUNDED_BASE, locate_in_unit_square((-1, 2, 2, 3)))
+_SHIFTS = st.fractions(-2, 2, max_denominator=9)
+
+
+@st.composite
+def small_windows(draw):
+    """Windows inside [-2, 2]^2 with corner denominators 1, 3, 5 and 7."""
+    def coords():
+        q = draw(st.sampled_from((1, 3, 5, 7)))
+        return sorted(canon(Fraction(draw(st.integers(-2 * q, 2 * q)), q))
+                      for _ in range(2))
+    (x0, x1), (y0, y1) = coords(), coords()
+    return Window(x0, x1, y0, y1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_BASES),
+       st.lists(st.sampled_from(ALL_LETTERS), max_size=3),
+       st.one_of(st.just((0, 0)), st.tuples(_SHIFTS, _SHIFTS)),
+       st.one_of(st.none(), small_windows()),
+       st.one_of(st.none(), st.integers(0, 6)),
+       st.integers(1, 16), st.booleans(), st.booleans())
+def test_enumeration_matches_reference_loop(base, word, shift, window,
+                                            max_len, extra, above_base,
+                                            super_moves):
+    w = apply(GroupWord(tuple(word)), base)
+    if sum(r[1] for r in w) < 0:
+        w = tuple(tuple(-x for x in r) for r in w)
+    w = tuple(translate_row(r, *shift) for r in w)
+    # A bound below the base's largest curvature prunes most of a word
+    # image's packing; one above it keeps some of it.
+    bound = extra + (max(abs(r[1]) for r in w) if above_base else 0)
+    budget = EnumerationBudget(bound, max_len, window)
+    assert _outcome(_enumerate, w, budget, super_moves) == \
+        _outcome(_reference_enumerate, w, budget, super_moves)
+
+
+def test_enumeration_matches_reference_on_bad_bases():
+    budget = EnumerationBudget(10, window=UNIT_WINDOW)
+    negated = tuple(tuple(-x for x in r) for r in W_STANDARD)
+    broken = W_STANDARD[:3] + ((0, 1, -1, 1),)
+    for base in (negated, broken):
+        for super_moves in (False, True):
+            got = _outcome(_enumerate, base, budget, super_moves)
+            assert got[0] is GasketError
+            assert got == _outcome(_reference_enumerate, base, budget,
+                                   super_moves)
+
+
+@pytest.fixture
+def calls_counted(monkeypatch):
+    """Counts calls of the per-entry helpers, patched in every gasket
+    module namespace that holds them."""
+    funcs = {"act": act, "canon": canon, "canon_row": canon_row,
+             "circle_from_row": circle_from_row}
+    counts = dict.fromkeys(funcs, 0)
+    modules = [m for name, m in sys.modules.items()
+               if name == "gasket" or name.startswith("gasket.")]
+    for name, fn in funcs.items():
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    return counts
+
+
+def test_enumeration_work_does_not_grow_with_the_bound(calls_counted):
+    located = locate_in_unit_square((-1, 2, 2, 3))
+    runs = ((generate_superpacking, W_STANDARD,
+             [EnumerationBudget(b, window=UNIT_WINDOW) for b in (40, 100)]),
+            (generate_packing, located,
+             [EnumerationBudget(b) for b in (200, 1000)]))
+    for generate, base, budgets in runs:
+        sizes, work = [], []
+        for budget in budgets:
+            before = dict(calls_counted)
+            sizes.append(len(generate(base, budget)))
+            work.append({k: calls_counted[k] - before[k] for k in before})
+        # Only the validation of the base calls these helpers, so the
+        # counts do not grow with the number of circles.
+        assert sizes[1] > 4 * sizes[0]
+        assert work[0] == work[1]
+
+
+def _cell(text):
+    """The parent-linked word cell of a witness text."""
+    cell = None
+    for l in GroupWord.from_text(text).applied_order():
+        cell = (l, cell)
+    return cell
+
+
+def test_equal_length_witnesses_break_ties_by_text():
+    # No enumeration tried so far offers one row twice at the same word
+    # length, so the tie-break is tested on its own.
+    for text in ("", "s1", "t3 s2 s4 t1"):
+        assert _letters(_cell(text)) == GroupWord.from_text(text).letters
+    stored = PackedCircle(circle_from_row((0, 1, 1, 0)), 1,
+                          GroupWord.from_text("s2 t1 s3"))
+    for text, wins in (("s1 t4 s4", True), ("s2 s4 t1", True),
+                       ("s2 t1 s1", True), ("s2 t1 s3", False),
+                       ("s2 t1 s4", False), ("t1 s1 s1", False),
+                       ("s1 s1", False), ("s1 s1 s1 s1", False)):
+        assert _replaces(len(text.split()), _cell(text), stored) is wins
