@@ -25,7 +25,8 @@ from .packing import (EnumerationBudget, PackedCircle, Window,
                       bounding_packing, contains_oriented, generate_packing,
                       generate_superpacking, locate_in_unit_square,
                       nesting_depth_geometric, reflect_row_x, reflect_row_y,
-                      transform_row, translate_row, window_touches)
+                      transform_row, translate_row, unit_square_symmetries,
+                      window_touches)
 from .svg import RenderOptions, render_svg, residue_symmetry_check
 
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ def _quadruple(args):
 
 
 def cmd_check(args) -> int:
-    q = tuple(scalar_from_str(s) for s in args.curvatures)
+    q = _quadruple(args)
     defect = descartes_defect(q)
     out = {"curvatures": [scalar_to_str(x) for x in q],
            "defect": scalar_to_str(defect), "valid": False}
@@ -151,17 +151,14 @@ def cmd_render(args) -> int:
     base = _base_from_args(args)
     if not args.window:
         raise GasketError("render requires --window")
-    window = _parse_window(args.window)
-    budget = EnumerationBudget(max_curvature=scalar_from_str(args.max_curvature),
-                               max_word_length=args.max_word_length,
-                               window=window)
+    budget = _budget_from_args(args)
     gen = generate_superpacking if args.mode == "super" else generate_packing
     circles = gen(base, budget)
     residue = None
     if args.mod is not None:
         residue = (args.mod, args.residue or 0)
     options = RenderOptions(
-        window=window,
+        window=budget.window,
         fill="depth" if args.depth_shade else "none",
         residue_filter=residue,
         labels=args.labels,

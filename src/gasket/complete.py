@@ -10,16 +10,22 @@ itself.  The sum s = w1 + w2 + w3 already meets the three linear
 conditions, as <s, w_k> = 1/2 - 1 = -1/2, and so every solution is
 s + t d.  Here d = (-2 n1, -2 n0, n2, n3), with n the 4-D cross product
 of the three rows, pairs to 0 with each of them and with s.  Then
-<s, s> = 3/2 - 3 = -3/2 turns <x, x> = 1/2 into t^2 <d, d> = 2, that is
-t^2 = 8 / N with N = 4 <d, d> = 2 (d2^2 + d3^2) - 2 d0 d1.  The two
-completions s +- t d are rational exactly when 8 / N is a rational square.
+<s, s> = 3/2 - 3 = -3/2 turns <x, x> = 1/2 into t^2 <d, d> = 2.
+
+Tangent rows pair to +-1/2, so the triple has Gram matrix
+G = 1/2 [[1, a, b], [a, 1, c], [b, c, 1]], a, b, c = +-1, and
+det G = (abc - 1) / 4.  If abc = 1, G has rank 1; under a form of
+signature (3, 1) three independent rows give rank 2 at least, so n = 0,
+the common-point case.  Otherwise det G = -1/2, d lies outside the span
+of the rows, and M = [w1; w2; w3; d] has M Q_W^{-1} M^T = diag(G, <d, d>)
+and det M = -(n . d) = -2 <d, d>.  With det Q_W^{-1} = -1/64 that gives
+-<d, d>^2 / 16 = -<d, d> / 2, so <d, d> = 8, t = 1/2, and the
+completions are (2 s +- d) / 2: integer rows stay int.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .core import (Circle, GasketError, Matrix, Row, Scalar, TANGENT_RELATIONS,
                    canon, pair_relation, quotient, validate_augmented)
@@ -27,18 +33,6 @@ from .core import (Circle, GasketError, Matrix, Row, Scalar, TANGENT_RELATIONS,
 
 class CompletionError(GasketError):
     """The triple is not in completable tangent position."""
-
-
-def sqrt_fraction(x: Scalar) -> Optional[Scalar]:
-    """Exact nonnegative square root of a rational, or None."""
-    f = Fraction(x)
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn != f.numerator or rd * rd != f.denominator:
-        return None
-    return canon(Fraction(rn, rd))
 
 
 def _check_triple(circles: Sequence[Circle]) -> Tuple[Row, Row, Row]:
@@ -67,7 +61,7 @@ def complete(c1: Circle, c2: Circle, c3: Circle) -> Tuple[Matrix, Matrix]:
     Returns two augmented matrices whose first three rows are the inputs;
     the completion with the smaller curvature comes first, ties broken by
     row order.  Raises CompletionError when the triple is degenerate
-    (all tangent at one point) or the completions are irrational.
+    (all tangent at one point).
     """
     rows = _check_triple((c1, c2, c3))
     # Signed 3x3 minors: n . w == 0 for each input row w.
@@ -77,18 +71,10 @@ def complete(c1: Circle, c2: Circle, c3: Circle) -> Tuple[Matrix, Matrix]:
         raise CompletionError(
             "degenerate triple: the circles share a common tangency point")
     d = (-2 * n[1], -2 * n[0], n[2], n[3])
-    big_n = 2 * (d[2] * d[2] + d[3] * d[3]) - 2 * d[0] * d[1]
-    if big_n == 0:
-        raise CompletionError("degenerate triple: completion family collapses")
-    t = sqrt_fraction(quotient(8, big_n))
-    if t is None:
-        raise CompletionError("completions are not rational for this triple")
     s = [sum(col) for col in zip(*rows)]
-    # x = s +- t d over t's denominator, so integer rows stay int.
-    tn, td = t.numerator, t.denominator
     sols = []
     for sgn in (1, -1):
-        x = tuple(quotient(td * s[j] + sgn * tn * d[j], td) for j in range(4))
+        x = tuple(quotient(2 * s[j] + sgn * d[j], 2) for j in range(4))
         w = rows + (x,)
         if not validate_augmented(w):
             raise CompletionError("internal check failed: invalid completion")

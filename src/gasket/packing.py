@@ -38,7 +38,11 @@ validated once, and the group maps an integer augmented matrix to integer
 ones whose rows keep the row invariant, so an integer base needs no
 ``canon`` per step.  A rational base is canonicalized entry by entry in
 the same loop, so every stored row is canonical: it gets one exact
-invariant test and becomes a circle as it is.
+invariant test and becomes a circle as it is.  A circle keeps the first
+witness offered, the first shortest normal-form word in ``_NEXT_LETTERS``
+order.  No two words were seen to offer one row (all words from
+``W_STANDARD`` of up to 11 swaps, or of up to 7 letters with transposes);
+that is evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from .core import (Circle, GasketError, InvalidCircleError, Matrix, Row,
                    Scalar, W_STANDARD, canon, canon_matrix, canon_row,
                    divisor, orientation, validate_augmented)
 from .classify import is_root_quadruple, reduce_to_ground, root_quadruple
-from .group import ALL_LETTERS, GeneratorLetter, GroupWord, apply
+from .group import (ALL_LETTERS, GeneratorLetter, GroupWord, apply,
+                    is_normal_form)
 
 
 class EnumerationError(GasketError):
@@ -105,7 +110,8 @@ class EnumerationBudget:
 
 @dataclass(frozen=True)
 class PackedCircle:
-    """An enumerated circle with its nesting depth and shortest witness."""
+    """An enumerated circle with its nesting depth and witness: the first
+    shortest normal-form word, in ``_NEXT_LETTERS`` order, that makes it."""
 
     circle: Circle
     depth: int
@@ -189,37 +195,14 @@ def window_touches(row: Row, window: Window) -> bool:
     return ex * ex + ey * ey <= d * d
 
 
-def _letters_after(last: Optional[GeneratorLetter],
-                   super_moves: bool) -> Tuple[GeneratorLetter, ...]:
-    out = []
-    for i in (1, 2, 3, 4):
-        l = GeneratorLetter("s", i)
-        if last is None or not (last.kind == "s" and last.index == i):
-            out.append(l)
-    if super_moves:
-        for i in (1, 2, 3, 4):
-            l = GeneratorLetter("t", i)
-            if last is None:
-                out.append(l)
-            elif last.kind == "s":
-                if last.index == i:
-                    out.append(l)
-            elif last.index != i:
-                out.append(l)
-    return tuple(out)
-
-
 # The letters that may follow each last letter (None at the start), in
 # enumeration order, for swaps only and for the full generator set.
-_NEXT_LETTERS = {(last, super_moves): _letters_after(last, super_moves)
-                 for last in (None,) + ALL_LETTERS
-                 for super_moves in (False, True)}
-
-
-def _witness_key(letters: Tuple[GeneratorLetter, ...]):
-    """Shortest witness first, ties broken by the letters latest first;
-    for equal lengths this is the order of the witness text."""
-    return len(letters), [(l.kind, l.index) for l in letters]
+_NEXT_LETTERS = {
+    (last, super_moves): tuple(
+        l for l in ALL_LETTERS
+        if (super_moves or l.kind == "s")
+        and is_normal_form(GroupWord((l,) if last is None else (l, last))))
+    for last in (None,) + ALL_LETTERS for super_moves in (False, True)}
 
 
 def _letters(cell) -> Tuple[GeneratorLetter, ...]:
@@ -229,14 +212,6 @@ def _letters(cell) -> Tuple[GeneratorLetter, ...]:
         l, cell = cell
         out.append(l)
     return tuple(out)
-
-
-def _replaces(n: int, cell, prev: PackedCircle) -> bool:
-    """Does a witness of length n, given as a word cell, beat the stored
-    one?  Breadth-first order never offers a shorter witness than a stored
-    one, so only an equal length can win, by ``_witness_key``."""
-    return n == len(prev.witness) and \
-        _witness_key(_letters(cell)) < _witness_key(prev.witness.letters)
 
 
 _EXPANSION_GUARD = 5_000_000
@@ -272,13 +247,12 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
 
     emitted: Dict[Row, PackedCircle] = {}
 
-    def emit(row: Row, n: int, cell, depth: int):
+    def emit(row: Row, cell, depth: int):
         if window is not None and not window_touches(row, window):
             return
-        if tuple(-x for x in row) in emitted:
-            return  # same circle, opposite orientation, already present
-        prev = emitted.get(row)
-        if prev is not None and not _replaces(n, cell, prev):
+        # Keep the first witness, which breadth-first order offers at the
+        # shortest length, and one orientation of each circle.
+        if row in emitted or tuple(-x for x in row) in emitted:
             return
         # Rows are canonical here, so the invariant is tested on them as
         # they are; b = 0 makes it a unit normal for a line.
@@ -289,7 +263,7 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                                     GroupWord(_letters(cell)))
 
     for row in w0:
-        emit(row, 0, None, 0)
+        emit(row, None, 0)
 
     # State: (matrix, column sums, last letter, word cell, word length,
     # depth, region box); a word cell is (letter, parent cell) or None.
@@ -324,7 +298,7 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                     new_row, child_cs = canon_row(new_row), canon_row(child_cs)
                 child_cell = (l, cell)
                 if keep:
-                    emit(new_row, n, child_cell, depth)
+                    emit(new_row, child_cell, depth)
                 child = wm[:i] + (new_row,) + wm[i + 1:]
                 child_depth = depth
                 if b_new == b_old and sum(r[1] == 0 for r in wm) == 2:
@@ -374,7 +348,7 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                 child_depth = depth + 1
                 for k in range(4):
                     if k != i and abs(child[k][1]) <= maxcurv:
-                        emit(child[k], n, child_cell, child_depth)
+                        emit(child[k], child_cell, child_depth)
             # The parent's region meets the window, so only a narrowed
             # region needs the test.
             if wbox is not None and region2 is not region and \

@@ -13,13 +13,14 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import GasketError, Row, Scalar, canon
 from .packing import PackedCircle, Window, transform_row
 
 
 SIG_DIGITS = 20
+SCALE = 500  # picture units per unit length
 
 _GRAYS = ("#f2f2f2", "#dddddd", "#c8c8c8", "#b0b0b0",
           "#949494", "#747474", "#4f4f4f", "#262626")
@@ -51,13 +52,10 @@ class RenderOptions:
     """Options controlling the deterministic SVG output."""
 
     window: Window
-    scale: int = 500
-    stroke_width: Callable[[Scalar], Scalar] = default_stroke_width
     fill: str = "none"  # "none" or "depth"
     residue_filter: Optional[Tuple[int, int]] = None  # (modulus, residue)
     labels: bool = False
     highlight_base: Tuple[Row, ...] = ()
-    frame: bool = True
 
     def __post_init__(self):
         if self.fill not in ("none", "depth"):
@@ -119,27 +117,23 @@ def _clip_line(row: Row, window: Window):
 def render_svg(circles: Iterable[PackedCircle], options: RenderOptions) -> str:
     """Render a circle set to an SVG document string."""
     w = options.window
-    scale = options.scale
     x0, x1, y0, y1, d = w.scaled
-    width = _dec((x1 - x0) * scale, d)
-    height = _dec((y1 - y0) * scale, d)
+    width = _dec((x1 - x0) * SCALE, d)
+    height = _dec((y1 - y0) * SCALE, d)
 
     def sx(x):
-        return (Fraction(x) - Fraction(w.xmin)) * scale
+        return (Fraction(x) - Fraction(w.xmin)) * SCALE
 
     def sy(y):
         # Flip the y axis: SVG grows downward.
-        return (Fraction(w.ymax) - Fraction(y)) * scale
+        return (Fraction(w.ymax) - Fraction(y)) * SCALE
 
-    parts: List[str] = []
-    parts.append(
+    parts: List[str] = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">')
-    if options.frame:
-        parts.append(
-            f'<rect x="0" y="0" width="{width}" height="{height}" '
-            'fill="none" stroke="#000000" stroke-width="1"/>')
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" '
+        'fill="none" stroke="#000000" stroke-width="1"/>']
     highlight = set(options.highlight_base)
     strokes = {}  # curvature -> formatted stroke width
     for pc in _filtered(circles, options):
@@ -148,7 +142,7 @@ def render_svg(circles: Iterable[PackedCircle], options: RenderOptions) -> str:
         stroke = "#cc0000" if row in highlight else "#000000"
         sw = strokes.get(b)
         if sw is None:
-            sw = strokes[b] = _dec(Fraction(options.stroke_width(b)) * scale)
+            sw = strokes[b] = _dec(default_stroke_width(b) * SCALE)
         if b == 0:
             seg = _clip_line(row, w)
             if seg is None:
@@ -161,19 +155,19 @@ def render_svg(circles: Iterable[PackedCircle], options: RenderOptions) -> str:
             continue
         # Centre (bx/b, by/b) and radius 1/|b| in picture units, each over
         # the denominator b D or |b|.
-        cx = _dec((bx * d - x0 * b) * scale, b * d)
-        cy = _dec((y1 * b - by * d) * scale, b * d)
+        cx = _dec((bx * d - x0 * b) * SCALE, b * d)
+        cy = _dec((y1 * b - by * d) * SCALE, b * d)
         if options.fill == "depth":
             fill = _GRAYS[pc.depth % len(_GRAYS)]
         else:
             fill = "none"
         parts.append(
-            f'<circle cx="{cx}" cy="{cy}" r="{_dec(scale, abs(b))}" '
+            f'<circle cx="{cx}" cy="{cy}" r="{_dec(SCALE, abs(b))}" '
             f'stroke="{stroke}" stroke-width="{sw}" fill="{fill}"/>')
         if options.labels:
             parts.append(
                 f'<text x="{cx}" y="{cy}" '
-                f'font-size="{_dec(scale, 2 * abs(b))}" '
+                f'font-size="{_dec(SCALE, 2 * abs(b))}" '
                 'text-anchor="middle" dominant-baseline="middle">'
                 f'{_label(b)}</text>')
     parts.append("</svg>")

@@ -1,16 +1,18 @@
 """Completing three mutually tangent circles to a full configuration."""
 
+import math
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gasket.complete import (CompletionError, _check_triple, complete,
                              complex_descartes_linear_holds,
-                             complex_descartes_quadratic_holds, sqrt_fraction,
+                             complex_descartes_quadratic_holds,
                              strong_integrality_from_three)
-from gasket.core import (Circle, W_STANDARD, canon, canon_row,
+from gasket.core import (Circle, Scalar, W_STANDARD, canon, canon_row,
                          circle_from_row, curvatures, validate_augmented)
 from gasket.group import ALL_LETTERS, GroupWord, act, apply
 from gasket.packing import translate_row
@@ -28,14 +30,6 @@ def random_tangent_triple(rng):
     drop = rng.randrange(4)
     kept = tuple(circle_from_row(mat[i]) for i in range(4) if i != drop)
     return kept, mat[drop]
-
-
-def test_sqrt_fraction():
-    assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
-    assert sqrt_fraction(0) == 0
-    assert sqrt_fraction(49) == 7
-    assert sqrt_fraction(Fraction(2)) is None
-    assert sqrt_fraction(Fraction(-1, 4)) is None
 
 
 def test_complete_two_lines():
@@ -64,12 +58,12 @@ def test_complete_double_root():
 
 def test_complete_builds_few_fractions(fractions_built):
     # The elimination this closed form replaced built 303 Fractions on this
-    # integer triple; now only the rational root t = 1/2 builds any.
+    # integer triple; (2 s +- d) / 2 is exact in int and builds none.
     circles = (circle_from_row((1, -1, 0, 0)), circle_from_row((0, 2, 1, 0)),
                circle_from_row((0, 2, -1, 0)))
     before = fractions_built[0]
     complete(*circles)
-    assert fractions_built[0] - before <= 303 // 5
+    assert fractions_built[0] - before == 0
 
 
 def test_complete_recovers_dropped_row():
@@ -146,6 +140,26 @@ def test_complete_rejects_common_point_triple():
         complete(*map(circle_from_row, rows))
     assert _outcome(complete, rows) == _outcome(_reference_complete, rows) \
         == "degenerate triple: the circles share a common tangency point"
+
+
+def sqrt_fraction(x: Scalar) -> Optional[Scalar]:
+    """Exact nonnegative square root of a rational, or None."""
+    f = Fraction(x)
+    if f < 0:
+        return None
+    rn = math.isqrt(f.numerator)
+    rd = math.isqrt(f.denominator)
+    if rn * rn != f.numerator or rd * rd != f.denominator:
+        return None
+    return canon(Fraction(rn, rd))
+
+
+def test_sqrt_fraction():
+    assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
+    assert sqrt_fraction(0) == 0
+    assert sqrt_fraction(49) == 7
+    assert sqrt_fraction(Fraction(2)) is None
+    assert sqrt_fraction(Fraction(-1, 4)) is None
 
 
 # The Gaussian elimination that `complete` used before its closed form,

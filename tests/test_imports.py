@@ -1,5 +1,7 @@
 """Every name a module of the package imports is used in that module, and
-every module-level private name is read somewhere in the package."""
+every module-level name is read somewhere in the package: a private one by
+some module, a public one by some module or by the re-exports of
+`__init__`."""
 
 import ast
 import pathlib
@@ -55,17 +57,16 @@ def _module_level_names(node):
             if isinstance(n, ast.Name)]
 
 
-def unread_private_names(sources):
-    """(module, line, name) of each module-level `_name` (not a dunder) that
-    no module in `sources` reads, by name, attribute or import."""
+def _unread_names(sources, wanted):
+    """(module, line, name) of each module-level name that passes `wanted`
+    and that no module in `sources` reads, by name, attribute or import."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             defined.extend((module, node.lineno, name)
                            for name in _module_level_names(node)
-                           if name.startswith("_")
-                           and not name.startswith("__"))
+                           if wanted(name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx,
                                                              ast.Store):
@@ -75,6 +76,27 @@ def unread_private_names(sources):
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     return sorted(d for d in defined if d[2] not in read)
+
+
+def unread_private_names(sources):
+    """Unread module-level `_name`s, dunders aside."""
+    return _unread_names(sources, lambda name: name.startswith("_")
+                         and not name.startswith("__"))
+
+
+def unread_public_names(sources):
+    """Unread public module-level names.  `__init__.py` is one of the
+    sources, and its imports count as reads, so a re-exported name is
+    kept."""
+    return _unread_names(sources, lambda name: not name.startswith("_"))
+
+
+def _package_sources():
+    package = pathlib.Path(gasket.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(package.glob("*.py"))}
+    assert len(sources) >= 10
+    return sources
 
 
 def test_checker_sees_unread_private_names():
@@ -96,8 +118,26 @@ def test_checker_sees_unread_private_names():
 
 
 def test_no_unread_private_names_in_package():
-    package = pathlib.Path(gasket.__file__).parent
-    sources = {p.name: p.read_text(encoding="utf-8")
-               for p in sorted(package.glob("*.py"))}
-    assert len(sources) >= 10
-    assert unread_private_names(sources) == []
+    assert unread_private_names(_package_sources()) == []
+
+
+def test_checker_sees_unread_public_names():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("LIMIT = 3\n"
+                 "ORPHAN, _hidden = 1, 2\n"
+                 "def exported():\n"
+                 "    return helper() + LIMIT\n"
+                 "def helper():\n"
+                 "    return 0\n"
+                 "def dead():\n"
+                 "    return _hidden\n"
+                 "class Unused:\n"
+                 "    pass\n"),
+    }
+    assert unread_public_names(sources) == [
+        ("a.py", 2, "ORPHAN"), ("a.py", 7, "dead"), ("a.py", 9, "Unused")]
+
+
+def test_no_unread_public_names_in_package():
+    assert unread_public_names(_package_sources()) == []

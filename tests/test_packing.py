@@ -3,6 +3,7 @@
 import sys
 from collections import deque
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +12,13 @@ from gasket.classify import root_quadruple
 from gasket.core import (GasketError, W_STANDARD, canon, canon_matrix,
                          canon_row, circle_from_row, orientation,
                          validate_augmented)
-from gasket.group import ALL_LETTERS, GroupWord, act, apply, is_normal_form
+from gasket.group import (ALL_LETTERS, GeneratorLetter, GroupWord, act, apply,
+                          is_normal_form)
 from gasket.packing import (FULL_PLANE, EnumerationBudget, EnumerationError,
                             PackedCircle, Window, _EXPANSION_GUARD,
                             _NEXT_LETTERS, _box_intersect, _circle_bbox,
                             _enumerate, _letters, _line_halfplane_box,
-                            _replaces, _window_box, _witness_key,
+                            _window_box,
                             bounding_packing, contains_oriented,
                             generate_packing, generate_superpacking,
                             locate_in_unit_square, nesting_depth_geometric,
@@ -320,6 +322,12 @@ def test_bounding_packing_truncation_flag():
     assert inside == (smallest,)
 
 
+def _witness_key(letters: Tuple[GeneratorLetter, ...]):
+    """Shortest witness first, ties broken by the letters latest first;
+    for equal lengths this is the order of the witness text."""
+    return len(letters), [(l.kind, l.index) for l in letters]
+
+
 def _reference_enumerate(base, budget, super_moves):
     """The enumeration loop as it was before the lean step: every child
     is built through ``act`` and every word is copied as a tuple."""
@@ -542,15 +550,38 @@ def _cell(text):
     return cell
 
 
-def test_equal_length_witnesses_break_ties_by_text():
-    # No enumeration tried so far offers one row twice at the same word
-    # length, so the tie-break is tested on its own.
+def test_letters_round_trips_word_cells():
     for text in ("", "s1", "t3 s2 s4 t1"):
         assert _letters(_cell(text)) == GroupWord.from_text(text).letters
-    stored = PackedCircle(circle_from_row((0, 1, 1, 0)), 1,
-                          GroupWord.from_text("s2 t1 s3"))
-    for text, wins in (("s1 t4 s4", True), ("s2 s4 t1", True),
-                       ("s2 t1 s1", True), ("s2 t1 s3", False),
-                       ("s2 t1 s4", False), ("t1 s1 s1", False),
-                       ("s1 s1", False), ("s1 s1 s1 s1", False)):
-        assert _replaces(len(text.split()), _cell(text), stored) is wins
+
+
+def _sign_free(row):
+    return max(row, tuple(-x for x in row))
+
+
+def test_each_row_is_offered_once():
+    # The enumeration keeps the first witness offered for a row: a
+    # shortest one, by breadth-first order, and the only one when no two
+    # words offer the same row.  A word w offers rows of M_w W0, with M_w
+    # its group matrix, and W0 is invertible, so two offers coincide
+    # exactly when the rows of the group matrices do: one base covers
+    # every base.  Here every normal-form word, with no pruning, offers
+    # each row once, even up to sign.
+    for super_moves, maxlen, words in ((False, 9, 4 * 3 ** 8),
+                                       (True, 6, 28124)):
+        seen = {_sign_free(r) for r in W_STANDARD}
+        level = [(W_STANDARD, None)]
+        for _ in range(maxlen):
+            nxt = []
+            for wm, last in level:
+                for l in _NEXT_LETTERS[last, super_moves]:
+                    child = act(l, wm)
+                    i = l.index - 1
+                    for k in ([i] if l.kind == "s" else
+                              [k for k in range(4) if k != i]):
+                        row = _sign_free(child[k])
+                        assert row not in seen
+                        seen.add(row)
+                    nxt.append((child, l))
+            level = nxt
+        assert len(level) == words  # normal-form words of the last length
