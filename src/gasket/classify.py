@@ -9,9 +9,10 @@ divisors 1, 2 and 4 is generated from these forms.
 
 The greedy reductions walk long parabolic runs (x_i x_j)^k.  Each run is
 one jump of ``group.act_run`` (``_greedy_runs`` shows that a jump takes
-exactly the letters the stepwise greedy takes), and the m/n shifts of
-``reduced_form`` are one run each, so apart from writing out the word the
-work grows with the digits of the input, not with its size.
+exactly the letters the stepwise greedy takes).  ``reduced_form`` applies
+those runs to the configuration, adds each m/n shift as one more run, and
+checks its result by replaying the run list, so apart from writing out
+the word the work grows with the digits of the input, not with its size.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (GasketError, InvalidQuadrupleError, Matrix, Scalar, canon,
                    canon_matrix, divisor, extend_to_augmented, mat_neg,
-                   orientation, validate_quadruple)
+                   orientation, scalars_text, validate_quadruple)
 from .group import (ALL_LETTERS, ALL_PERMUTATIONS, GeneratorLetter, GroupWord,
-                    act, act_run, apply)
+                    act, act_run)
 
 
 class ReductionError(GasketError):
@@ -142,6 +143,29 @@ def _run_letters(runs: Sequence[Run]) -> List[GeneratorLetter]:
     return letters
 
 
+def _replay(runs: Sequence[Run], target):
+    """Apply the runs in order, each in O(1) ``act`` calls (``act_run``)."""
+    for a, b, count in runs:
+        target = act_run(a, b, count, target)
+    return target
+
+
+def _ground_runs(q: Sequence[Scalar]):
+    """Validate q and reduce its positively oriented copy v greedily.
+
+    Returns (sign, v, runs, end): the orientation of q, v, the runs that
+    take v to ground position and that ground position, end.
+    """
+    vals = validate_quadruple(q)
+    sign = orientation(vals)
+    v = vals if sign > 0 else tuple(canon(-x) for x in vals)
+    runs, end = _greedy_runs(v, True)
+    if end.count(0) < 2:
+        raise ReductionError(
+            f"stuck at {scalars_text(end)}; not a reducible quadruple")
+    return sign, v, runs, end
+
+
 def reduce_to_ground(q: Sequence[Scalar], return_trace: bool = False):
     """Greedy reduction of a Descartes quadruple to ground position.
 
@@ -152,12 +176,7 @@ def reduce_to_ground(q: Sequence[Scalar], return_trace: bool = False):
     Parabolic runs are applied as jumps (``_greedy_runs``), so the work
     apart from writing out the letters grows with the digits of q.
     """
-    vals = validate_quadruple(q)
-    sign = orientation(vals)
-    v = vals if sign > 0 else tuple(canon(-x) for x in vals)
-    runs, end = _greedy_runs(v, True)
-    if end.count(0) < 2:
-        raise ReductionError(f"stuck at {end}; not a reducible quadruple")
+    sign, v, runs, end = _ground_runs(q)
     letters_applied = _run_letters(runs)
     ground = end if sign > 0 else tuple(canon(-x) for x in end)
     word = GroupWord(tuple(reversed(letters_applied)))
@@ -247,7 +266,12 @@ def _invert_perm(p: Tuple[int, ...]) -> Tuple[int, ...]:
 def reduced_form(m_in: Sequence[Sequence[Scalar]]) -> Tuple[GroupWord, ReducedForm]:
     """Reduce a strongly integral 4x3 configuration to its canonical label.
 
-    Returns (word, label) with apply(word, M) == label.instantiate().
+    Returns (word, label) with apply(word, M) == label.instantiate().  The
+    word is kept as runs of one kind (the greedy ground runs, then one
+    relabelled run per m/n shift), applied to M with ``act_run``; the
+    final check replays that run list on M and compares it with the label.
+    So apart from writing out the word, the work grows with the digits of
+    M, not with the length of the word.
     """
     cfg = canon_matrix(m_in)
     if len(cfg) != 4 or any(len(r) != 3 for r in cfg):
@@ -256,15 +280,13 @@ def reduced_form(m_in: Sequence[Sequence[Scalar]]) -> Tuple[GroupWord, ReducedFo
         raise ReductionError("configuration is not strongly integral")
     extend_to_augmented(cfg)  # validates tangency
     v = tuple(r[0] for r in cfg)
-    sign = orientation(v)
     g = divisor(v)
 
-    # The reduction applies letters and row permutations.  p_acc is the
+    # The reduction applies runs and row permutations.  p_acc is the
     # product P of the permutations so far, so a letter l applied now
-    # equals P (P^-1 l P): the word records the relabeled letter.
-    word0, _ = reduce_to_ground(v)
-    letters_applied: List[GeneratorLetter] = list(word0.applied_order())
-    cur = apply(word0, cfg)
+    # equals P (P^-1 l P): the run list records the relabeled letters.
+    sign, _, runs, _ = _ground_runs(v)
+    cur = _replay(runs, cfg)
 
     pos = cur if sign > 0 else mat_neg(cur)
     # Family from the line normals; ground position has exactly two lines.
@@ -301,14 +323,16 @@ def reduced_form(m_in: Sequence[Sequence[Scalar]]) -> Tuple[GroupWord, ReducedFo
     # Shift m and n into {0, 1} with the translation identities.  A step
     # applies l and then swaps two rows by P, and P l P = l2, the
     # P-relabel of l; so k steps are the run l, l2, l, ... and then
-    # P^(k mod 2).  A letter is recorded relabeled by p_acc at its step.
+    # P^(k mod 2).  The run is recorded relabeled by p_acc at its start,
+    # which gives the letters that relabeling each step by its p_acc does.
     def shift(value: int, up: GeneratorLetter, down: GeneratorLetter,
               perm: Tuple[int, ...]) -> int:
         nonlocal cur, p_acc
         l, l2 = (up, down) if value >= 2 else (down, up)
         count = abs(value - value % 2) // 2
-        rec = [GeneratorLetter(x.kind, p_acc[x.index - 1] + 1) for x in (l, l2)]
-        letters_applied.extend(rec * (count // 2) + rec[:count % 2])
+        a, b = (GeneratorLetter(x.kind, p_acc[x.index - 1] + 1)
+                for x in (l, l2))
+        runs.append((a, b, count))
         cur = act_run(l, l2, count, cur)
         if count % 2:
             p_acc = _compose_perm(perm, p_acc)
@@ -324,11 +348,10 @@ def reduced_form(m_in: Sequence[Sequence[Scalar]]) -> Tuple[GroupWord, ReducedFo
     if pos != printed_form(family, m, n, g):
         raise ReductionError("reduction failed to reach a printed form")
 
-    word = GroupWord(tuple(reversed(letters_applied)))
     label = ReducedForm(family, m, n, g, _invert_perm(p_acc), sign)
-    if apply(word, cfg) != label.instantiate():
+    if _replay(runs, cfg) != label.instantiate():
         raise ReductionError("internal check failed: word does not match label")
-    return word, label
+    return GroupWord(tuple(reversed(_run_letters(runs)))), label
 
 
 def kappa(m_in: Sequence[Sequence[Scalar]]) -> Tuple[int, int, int]:

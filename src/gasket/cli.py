@@ -79,14 +79,32 @@ def cmd_check(args) -> int:
     return 0
 
 
+# One trace step as json.dumps(..., indent=2) lays it out in "steps".  Its
+# values are scalar_to_str text and letter names, which need no escaping.
+_REDUCE_STEP = ('    {{\n      "letter": "{}",\n      "quadruple": [\n'
+                '        "{}",\n        "{}",\n        "{}",\n        "{}"\n'
+                '      ],\n      "size": "{}"\n    }}')
+
+
 def cmd_reduce(args) -> int:
     word, ground, trace = reduce_to_ground(_quadruple(args), return_trace=True)
-    out = {"word": word.text,
-           "ground": [scalar_to_str(x) for x in ground],
-           "steps": [{"letter": l.text,
-                      "quadruple": [scalar_to_str(x) for x in q],
-                      "size": scalar_to_str(s)} for l, q, s in trace]}
-    print(json.dumps(out, indent=2))
+    head = json.dumps({"word": word.text,
+                       "ground": [scalar_to_str(x) for x in ground],
+                       "steps": []}, indent=2)
+    if not trace:
+        print(head)
+        return 0
+    # The same text as json.dumps of the whole document, written a step at
+    # a time: with indent, json.dumps runs its pure-Python encoder, and
+    # small writes let a closed pipe raise BrokenPipeError.
+    write = sys.stdout.write
+    write(head[:-len("]\n}")])
+    sep = "\n"
+    for l, q, s in trace:
+        write(sep + _REDUCE_STEP.format(l.text, *map(scalar_to_str, q),
+                                        scalar_to_str(s)))
+        sep = ",\n"
+    write("\n  ]\n}\n")
     return 0
 
 

@@ -74,6 +74,12 @@ def canon_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(canon_row(r) for r in rows)
 
 
+def scalars_text(values: Sequence[Scalar]) -> str:
+    """Scalars as error messages print them: (1/2, -3, 0), not
+    (Fraction(1, 2), -3, 0)."""
+    return "(" + ", ".join(map(str, values)) + ")"
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product; works for any compatible rectangular shapes."""
     cols = len(b[0])
@@ -141,18 +147,21 @@ def validate_quadruple(q: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     """
     vals = canon_row(q)
     if descartes_defect(vals) != 0:
-        raise InvalidQuadrupleError(f"nonzero defect for {vals}")
+        raise InvalidQuadrupleError(f"nonzero defect for {scalars_text(vals)}")
     if all(x == 0 for x in vals):
         raise InvalidQuadrupleError("all-zero quadruple")
     s = sum(vals)
     if s == 0:
-        raise InvalidQuadrupleError(f"zero curvature sum in {vals}")
+        raise InvalidQuadrupleError(
+            f"zero curvature sum in {scalars_text(vals)}")
     wrong_sign = sum(1 for x in vals if (x < 0 if s > 0 else x > 0))
     if wrong_sign > 1:
         raise InvalidQuadrupleError(
-            f"more than one curvature against the orientation in {vals}")
+            "more than one curvature against the orientation in "
+            + scalars_text(vals))
     if sum(1 for x in vals if x == 0) > 2:
-        raise InvalidQuadrupleError(f"more than two zero curvatures in {vals}")
+        raise InvalidQuadrupleError(
+            f"more than two zero curvatures in {scalars_text(vals)}")
     return vals
 
 
@@ -225,7 +234,8 @@ class Circle:
 
     def validate(self) -> "Circle":
         if not row_is_valid(self.row()):
-            raise InvalidCircleError(f"row invariant fails for {self.row()}")
+            raise InvalidCircleError(
+                f"row invariant fails for {scalars_text(self.row())}")
         return self
 
 
@@ -257,7 +267,8 @@ def line_to_row(normal: Tuple[Scalar, Scalar], offset: Scalar) -> Circle:
     """Line {p : normal . p = offset} with interior on the + normal side."""
     nx, ny = canon(normal[0]), canon(normal[1])
     if nx * nx + ny * ny != 1:
-        raise InvalidCircleError(f"normal {(nx, ny)} is not a unit vector")
+        raise InvalidCircleError(
+            f"normal {scalars_text((nx, ny))} is not a unit vector")
     return Circle(canon(2 * canon(offset)), 0, nx, ny).validate()
 
 

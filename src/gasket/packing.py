@@ -55,10 +55,9 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import (Circle, GasketError, InvalidCircleError, Matrix, Row,
                    Scalar, W_STANDARD, canon, canon_matrix, canon_row,
-                   divisor, orientation, validate_augmented)
-from .classify import is_root_quadruple, reduce_to_ground, root_quadruple
-from .group import (ALL_LETTERS, GeneratorLetter, GroupWord, apply,
-                    is_normal_form)
+                   divisor, orientation, scalars_text, validate_augmented)
+from .classify import _ground_runs, _replay, is_root_quadruple, root_quadruple
+from .group import ALL_LETTERS, GeneratorLetter, GroupWord, is_normal_form
 
 
 class EnumerationError(GasketError):
@@ -258,7 +257,8 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
         # they are; b = 0 makes it a unit normal for a line.
         bbar, b, bx, by = row
         if bbar * b != bx * bx + by * by - 1:
-            raise InvalidCircleError(f"row invariant fails for {row}")
+            raise InvalidCircleError(
+                f"row invariant fails for {scalars_text(row)}")
         emitted[row] = PackedCircle(Circle(*row), depth,
                                     GroupWord(_letters(cell)))
 
@@ -476,26 +476,32 @@ def locate_in_unit_square(root: Sequence[Scalar]) -> Matrix:
     The input must be a primitive, sorted root quadruple with a negative
     smallest curvature.  The result is a strongly integral augmented
     matrix in the standard super-packing with curvature column equal to
-    the input.
+    the input.  The ground matrix is moved back by the inverse of the
+    greedy ground runs, each in O(1) ``act`` calls, so the work grows with
+    the digits of the input, not with its size.
     """
     vals = canon_row(root)
     if not all(isinstance(x, int) for x in vals):
         raise GasketError("root quadruples are integral")
     if not is_root_quadruple(vals):
-        raise GasketError(f"{vals} is not a sorted root quadruple")
+        raise GasketError(
+            f"{scalars_text(vals)} is not a sorted root quadruple")
     if divisor(vals) != 1:
-        raise GasketError(f"{vals} is not primitive")
+        raise GasketError(f"{scalars_text(vals)} is not primitive")
     if vals[0] >= 0:
         raise GasketError("the bounded case needs a negative smallest curvature")
 
-    word, ground = reduce_to_ground(vals)
+    # A root quadruple is positively oriented, so end is the ground of vals.
+    _, _, runs, ground = _ground_runs(vals)
     # Build a ground matrix whose curvature column matches exactly.
     line_rows = iter(i for i in range(4) if W_STANDARD[i][1] == 0)
     circ_rows = iter(i for i in range(4) if W_STANDARD[i][1] != 0)
     order = tuple(next(line_rows) if g == 0 else next(circ_rows)
                   for g in ground)
     wg = tuple(W_STANDARD[order[i]] for i in range(4))
-    wt = apply(word.inverse(), wg)
+    # The inverse word: the runs in reverse order, each read backwards.
+    wt = _replay([(a, b, n) if n % 2 else (b, a, n)
+                  for a, b, n in reversed(runs)], wg)
     if tuple(r[1] for r in wt) != vals:
         raise GasketError("internal check failed: curvatures do not match")
 

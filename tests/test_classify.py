@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gasket import classify, group
-from gasket.classify import (ReductionError, SuperIntegralityStatus,
+from gasket.classify import (ReducedForm, ReductionError,
+                             SuperIntegralityStatus,
                              is_root_quadruple, kappa, orbit_census,
                              printed_augmented, printed_form,
                              reduce_to_ground, reduced_form, root_quadruple,
@@ -18,7 +19,7 @@ from gasket.classify import (ReductionError, SuperIntegralityStatus,
 from gasket.core import (InvalidQuadrupleError, canon, mat_neg,
                          validate_augmented)
 from gasket.group import (ALL_LETTERS, ALL_PERMUTATIONS, GeneratorLetter,
-                          GroupWord, act, apply, letter)
+                          GroupWord, act, act_run, apply, letter)
 
 
 def test_reduce_to_ground_examples():
@@ -321,7 +322,8 @@ def test_reduced_form_jumps_match_stepwise(form, word, negate, order):
         _stepwise_reduced_form(cfg)
 
 
-def test_root_quadruple_work_grows_with_digits(monkeypatch):
+def _counted_acts(monkeypatch):
+    """The letters of every ``act`` call from here on."""
     calls = []
     real_act = group.act
 
@@ -332,9 +334,29 @@ def test_root_quadruple_work_grows_with_digits(monkeypatch):
     # act_run calls group.act; the greedy loop calls its own import.
     monkeypatch.setattr(group, "act", counting_act)
     monkeypatch.setattr(classify, "act", counting_act)
+    return calls
+
+
+def test_root_quadruple_work_grows_with_digits(monkeypatch):
+    calls = _counted_acts(monkeypatch)
     n = 10 ** 40
     assert root_quadruple((0, 1, n * n, (n + 1) ** 2)) == (0, 0, 1, 1)
     assert 0 < len(calls) <= 2000
+
+
+@pytest.mark.parametrize("run", [("s3", "s4"), ("s1", "s2")])
+def test_reduced_form_work_grows_with_digits(monkeypatch, run):
+    # A printed form moved by (x_i x_j)^k.  (s3 s4)^k leaves the curvatures
+    # at ground and only translates; (s1 s2)^k also grows them to about k^2.
+    # The reduction word has 2k letters either way.
+    k = 10 ** 5
+    cfg = act_run(letter(run[0]), letter(run[1]), 2 * k,
+                  printed_form("A", 1, 0, 1))
+    calls = _counted_acts(monkeypatch)
+    word, label = reduced_form(cfg)
+    assert label == ReducedForm("A", 1, 0, 1, (0, 1, 2, 3), 1)
+    assert len(word) == 2 * k
+    assert 0 < len(calls) <= 400
 
 
 def test_long_reduction_word_matches_stepwise():

@@ -1,5 +1,6 @@
 """The command line interface, exercised through main(argv)."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,11 +11,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gasket
 from gasket import cli
+from gasket.classify import reduce_to_ground
 from gasket.cli import EXIT_BROKEN_PIPE, main
-from gasket.core import W_STANDARD
+from gasket.core import W_STANDARD, canon
+from gasket.group import ALL_LETTERS, act, letter
 from gasket.packing import translate_row
 from gasket.serialize import matrix_to_json, scalar_to_str
 
@@ -51,6 +55,51 @@ def test_reduce(capsys):
     assert sorted(data["ground"]) == ["0", "0", "1", "1"]
     sizes = [int(s["size"]) for s in data["steps"]]
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
+
+
+def _reference_reduce_output(q):
+    """json.dumps(..., indent=2) of the whole reduce document: the text
+    that cmd_reduce writes a step at a time."""
+    word, ground, trace = reduce_to_ground(q, return_trace=True)
+    out = {"word": word.text,
+           "ground": [scalar_to_str(x) for x in ground],
+           "steps": [{"letter": l.text,
+                      "quadruple": [scalar_to_str(x) for x in v],
+                      "size": scalar_to_str(s)} for l, v, s in trace]}
+    return json.dumps(out, indent=2) + "\n"
+
+
+@st.composite
+def _parabolic_words(draw):
+    """Applied-order letter texts: a few random letters, a run (x_i x_j)^k
+    of one kind, a few random letters."""
+    extra = st.lists(st.sampled_from([l.text for l in ALL_LETTERS]),
+                     max_size=3)
+    kind = draw(st.sampled_from("st"))
+    i, j = draw(st.permutations("1234"))[:2]
+    k = draw(st.integers(0, 60))
+    return tuple(draw(extra)) + (kind + i, kind + j) * k + tuple(draw(extra))
+
+
+@settings(max_examples=40, deadline=None)
+@given(root=st.sampled_from(((0, 0, 1, 1), (-1, 2, 2, 3), (-2, 3, 6, 7),
+                             (-6, 11, 14, 15))),
+       word=_parabolic_words(), sign=st.sampled_from((1, -1)),
+       scale=st.sampled_from((1, Fraction(1, 3))))
+@example(root=(0, 0, 1, 1), word=(), sign=1, scale=1)
+@example(root=(-2, 3, 6, 7), word=("t1", "s3") + ("s2", "s4") * 5, sign=-1,
+         scale=Fraction(1, 3))
+def test_reduce_output_matches_json_dumps(root, word, sign, scale):
+    q = tuple(canon(sign * scale * x) for x in root)
+    for text in word:
+        q = act(letter(text), q)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["reduce", "--"] + [scalar_to_str(x) for x in q])
+    assert code == 0
+    assert out.getvalue() == _reference_reduce_output(q)
+    # Ground position (two zeros) prints an empty trace.
+    assert ('"steps": []' in out.getvalue()) == (q.count(0) == 2)
 
 
 def test_root(capsys):
@@ -212,6 +261,10 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "complete", "--circles", "not json")
     assert code == 1 and "error:" in err
+    # Rationals are printed as the CLI reads them, not as Fraction(1, 2).
+    code, out, err = run(capsys, "root", "1/2", "1/2", "2", "2")
+    assert code == 1 and out == ""
+    assert err == "error: nonzero defect for (1/2, 1/2, 2, 2)\n"
 
 
 def test_threads_flag_rejected(capsys):
@@ -236,15 +289,23 @@ def test_malformed_matrix_json_exits_1(capsys, argv):
     assert err == "error: matrix must be a JSON array of row arrays\n"
 
 
-@pytest.mark.parametrize("command", ["generate", "render"])
-def test_closed_pipe_exits_quietly(command):
+_WINDOWED = ("--max-curvature", "100", "--window", "0,1,0,1")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("generate",) + _WINDOWED, id="generate"),
+    pytest.param(("render",) + _WINDOWED, id="render"),
+    # A trace of 10^4 steps, 1.57 MB.
+    pytest.param(("reduce", "0", "1", str(10 ** 8), str((10 ** 4 + 1) ** 2)),
+                 id="reduce"),
+])
+def test_closed_pipe_exits_quietly(argv):
     # The output (over 200 kB) is larger than a pipe buffer, so the writer
     # is still blocked when the reader goes away.
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(gasket.__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gasket.cli", command, "--max-curvature",
-         "100", "--window", "0,1,0,1"],
+        [sys.executable, "-m", "gasket.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline()
     proc.stdout.close()

@@ -288,6 +288,21 @@ def test_locate_examples():
             Fraction(outer[3], outer[1])) == (Fraction(1, 3), Fraction(1, 2))
 
 
+def test_locate_work_grows_with_digits(calls_counted):
+    # (-n, n+1, n(n+1), n(n+1)+1) is a primitive sorted root quadruple for
+    # every n >= 1, and its ground word has about n letters.
+    for n in (10 ** 4, 10 ** 40):
+        q = (-n, n + 1, n * (n + 1), n * (n + 1) + 1)
+        before = calls_counted["act"]
+        m = locate_in_unit_square(q)
+        assert 0 < calls_counted["act"] - before <= 2000
+        assert tuple(r[1] for r in m) == q
+        assert all(isinstance(x, int) for r in m for x in r)
+        assert validate_augmented(m)
+        assert 0 <= Fraction(m[0][2], -n) <= 1
+        assert 0 <= Fraction(m[0][3], -n) <= 1
+
+
 def test_locate_symmetries_move_interior_centers_out():
     m = locate_in_unit_square((-6, 11, 14, 15))
     centers = [(Fraction(r[2], r[1]), Fraction(r[3], r[1])) for r in m]
