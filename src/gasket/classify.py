@@ -18,6 +18,8 @@ the word the work grows with the digits of the input, not with its size.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -134,7 +136,15 @@ def _run_length(a: GeneratorLetter, b: GeneratorLetter,
     return hi
 
 
+# The most items a list can hold (CPython refuses more pointers than this).
+_MAX_LETTERS = sys.maxsize // struct.calcsize("P")
+
+
 def _run_letters(runs: Sequence[Run]) -> List[GeneratorLetter]:
+    total = sum(count for _, _, count in runs)
+    if total > _MAX_LETTERS:
+        raise ReductionError(f"the reduction word has {total} letters, "
+                             "more than a list can hold")
     letters: List[GeneratorLetter] = []
     for a, b, count in runs:
         letters.extend((a, b) * (count // 2))
@@ -153,8 +163,8 @@ def _replay(runs: Sequence[Run], target):
 def _ground_runs(q: Sequence[Scalar]):
     """Validate q and reduce its positively oriented copy v greedily.
 
-    Returns (sign, v, runs, end): the orientation of q, v, the runs that
-    take v to ground position and that ground position, end.
+    Returns (sign, vals, runs, end): the orientation of q, q validated,
+    the runs that take v to ground position and that ground position, end.
     """
     vals = validate_quadruple(q)
     sign = orientation(vals)
@@ -163,7 +173,7 @@ def _ground_runs(q: Sequence[Scalar]):
     if end.count(0) < 2:
         raise ReductionError(
             f"stuck at {scalars_text(end)}; not a reducible quadruple")
-    return sign, v, runs, end
+    return sign, vals, runs, end
 
 
 def reduce_to_ground(q: Sequence[Scalar], return_trace: bool = False):
@@ -176,17 +186,18 @@ def reduce_to_ground(q: Sequence[Scalar], return_trace: bool = False):
     Parabolic runs are applied as jumps (``_greedy_runs``), so the work
     apart from writing out the letters grows with the digits of q.
     """
-    sign, v, runs, end = _ground_runs(q)
+    sign, vals, runs, end = _ground_runs(q)
     letters_applied = _run_letters(runs)
     ground = end if sign > 0 else tuple(canon(-x) for x in end)
     word = GroupWord(tuple(reversed(letters_applied)))
     if not return_trace:
         return word, ground
+    # act is linear, so the trace runs on q as signed; the size is the sum
+    # of the positively oriented copy.
     trace: List[ReductionStep] = []
     for l in letters_applied:
-        v = act(l, v)
-        actual = v if sign > 0 else tuple(canon(-x) for x in v)
-        trace.append((l, actual, sum(v)))
+        vals = act(l, vals)
+        trace.append((l, vals, sign * sum(vals)))
     return word, ground, trace
 
 

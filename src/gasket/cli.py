@@ -160,8 +160,8 @@ def cmd_generate(args) -> int:
     base = _base_from_args(args)
     budget = _budget_from_args(args)
     gen = generate_superpacking if args.mode == "super" else generate_packing
-    for pc in gen(base, budget):
-        print(json.dumps(packed_to_json(pc)))
+    # One small write per line, so a closed pipe raises BrokenPipeError.
+    sys.stdout.writelines(map(packed_to_json, gen(base, budget)))
     return 0
 
 

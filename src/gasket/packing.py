@@ -251,11 +251,11 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
             return
         # Keep the first witness, which breadth-first order offers at the
         # shortest length, and one orientation of each circle.
-        if row in emitted or tuple(-x for x in row) in emitted:
+        bbar, b, bx, by = row
+        if row in emitted or (-bbar, -b, -bx, -by) in emitted:
             return
         # Rows are canonical here, so the invariant is tested on them as
         # they are; b = 0 makes it a unit normal for a line.
-        bbar, b, bx, by = row
         if bbar * b != bx * bx + by * by - 1:
             raise InvalidCircleError(
                 f"row invariant fails for {scalars_text(row)}")

@@ -1,4 +1,9 @@
-"""JSON-friendly exact serialization of rationals, circles and matrices."""
+"""JSON-friendly exact serialization of rationals, circles and matrices.
+
+``packed_to_json`` returns the finished text of one JSON line, as
+``json.dumps`` lays out the record and with its newline; the other
+helpers convert to and from the objects ``json`` reads and writes.
+"""
 
 from __future__ import annotations
 
@@ -23,15 +28,6 @@ def scalar_from_str(s: str) -> Scalar:
         raise GasketError(f"cannot parse rational {s!r}") from exc
 
 
-def circle_to_json(c: Circle) -> Dict[str, str]:
-    return {
-        "bbar": scalar_to_str(c.cocurvature),
-        "b": scalar_to_str(c.curvature),
-        "bx": scalar_to_str(c.cx),
-        "by": scalar_to_str(c.cy),
-    }
-
-
 def circle_from_json(d: Dict[str, Any]) -> Circle:
     try:
         vals = [scalar_from_str(str(d[k])) for k in ("bbar", "b", "bx", "by")]
@@ -43,11 +39,16 @@ def circle_from_json(d: Dict[str, Any]) -> Circle:
     return Circle(*vals).validate()
 
 
-def packed_to_json(pc: PackedCircle) -> Dict[str, Any]:
-    out = circle_to_json(pc.circle)
-    out["depth"] = pc.depth
-    out["witness"] = pc.witness.text
-    return out
+# One circle as json.dumps lays out {"bbar", "b", "bx", "by", "depth",
+# "witness"}.  The row entries are canonical scalars, whose str() is their
+# scalar_to_str text, and the witness is letter names: nothing to escape.
+_PACKED_LINE = ('{{"bbar": "{}", "b": "{}", "bx": "{}", "by": "{}", '
+                '"depth": {}, "witness": "{}"}}\n')
+
+
+def packed_to_json(pc: PackedCircle) -> str:
+    """One JSON line, newline included, for an enumerated circle."""
+    return _PACKED_LINE.format(*pc.circle.row(), pc.depth, pc.witness.text)
 
 
 def matrix_to_json(m: Matrix) -> List[List[str]]:

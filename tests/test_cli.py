@@ -15,11 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import gasket
 from gasket import cli
-from gasket.classify import reduce_to_ground
+from gasket.classify import printed_form, reduce_to_ground
 from gasket.cli import EXIT_BROKEN_PIPE, main
 from gasket.core import W_STANDARD, canon
-from gasket.group import ALL_LETTERS, act, letter
-from gasket.packing import translate_row
+from gasket.group import ALL_LETTERS, act, act_run, letter
+from gasket.packing import (EnumerationBudget, Window, generate_packing,
+                            generate_superpacking, locate_in_unit_square,
+                            translate_row)
 from gasket.serialize import matrix_to_json, scalar_to_str
 
 
@@ -55,6 +57,18 @@ def test_reduce(capsys):
     assert sorted(data["ground"]) == ["0", "0", "1", "1"]
     sizes = [int(s["size"]) for s in data["steps"]]
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
+    # The negatively oriented copy takes the same letters and sizes, and
+    # each step's quadruple is negated.
+    code, out, _ = run(capsys, "reduce", "--", "-15", "-2", "-2", "-3")
+    assert code == 0
+    neg = json.loads(out)
+    assert neg["word"] == data["word"]
+    assert sorted(neg["ground"]) == ["-1", "-1", "0", "0"]
+    assert [(s["letter"], s["size"]) for s in neg["steps"]] == \
+        [(s["letter"], s["size"]) for s in data["steps"]]
+    assert [[scalar_to_str(-int(x)) for x in s["quadruple"]]
+            for s in neg["steps"]] == \
+        [s["quadruple"] for s in data["steps"]]
 
 
 def _reference_reduce_output(q):
@@ -267,6 +281,30 @@ def test_domain_errors_exit_1(capsys):
     assert err == "error: nonzero defect for (1/2, 1/2, 2, 2)\n"
 
 
+def test_word_too_long_for_a_list_is_a_domain_error(capsys):
+    # The reduction word of 0 1 n^2 (n+1)^2 has n letters; at n = 10^40 the
+    # runs are found in O(digits), but the word cannot be written out.
+    n = 10 ** 40
+    q = ("0", "1", str(n * n), str((n + 1) ** 2))
+    code, out, err = run(capsys, "reduce", *q)
+    assert code == 1 and out == ""
+    assert err == (f"error: the reduction word has {n} letters, "
+                   "more than a list can hold\n")
+    code, out, _ = run(capsys, "check", *q)
+    assert code == 0 and json.loads(out)["valid"] is True
+    code, out, _ = run(capsys, "root", *q)
+    assert code == 0
+    assert json.loads(out)["root_quadruple"] == ["0", "0", "1", "1"]
+    # A printed form moved by (s1 s2)^(10^40): 2 * 10^40 letters.
+    cfg = act_run(letter("s1"), letter("s2"), 2 * n,
+                  printed_form("A", 1, 0, 1))
+    code, out, err = run(capsys, "classify", "--matrix",
+                         json.dumps(matrix_to_json(cfg)))
+    assert code == 1 and out == ""
+    assert err == (f"error: the reduction word has {2 * n} letters, "
+                   "more than a list can hold\n")
+
+
 def test_threads_flag_rejected(capsys):
     # --threads was parsed and never used; it is no longer an option.
     with pytest.raises(SystemExit) as exc:
@@ -343,3 +381,56 @@ def test_rational_inputs_match_pinned_digests(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The located (-1, 2, 2, 3) quadruple: the base of the bounded packing.
+LOCATED_BASE = json.dumps(matrix_to_json(locate_in_unit_square((-1, 2, 2, 3))))
+
+
+# Integer generate outputs, pinned by digest: a bounded packing of 3,329
+# circles and the standard super-packing over the unit square.
+@pytest.mark.parametrize("argv, digest", [
+    (("generate", "--mode", "packing", "--base", LOCATED_BASE,
+      "--max-curvature", "1000"),
+     "db62096fc52a22087336292c69a6b9ede6f3fe44b50c101d2a603f3a1b4b930c"),
+    (("generate", "--mode", "super", "--window", "0,1,0,1",
+      "--max-curvature", "100"),
+     "1193dd4e0150a04b2be8b18417cc66558a51c36eda383631c08d7b4ced20050b"),
+], ids=["generate-packing", "generate-super"])
+def test_integer_generate_matches_pinned_digests(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _reference_generate_output(gen, base, budget):
+    """generate's output as json.dumps of one dict per circle."""
+    return "".join(json.dumps({
+        "bbar": scalar_to_str(pc.circle.cocurvature),
+        "b": scalar_to_str(pc.circle.curvature),
+        "bx": scalar_to_str(pc.circle.cx),
+        "by": scalar_to_str(pc.circle.cy),
+        "depth": pc.depth,
+        "witness": pc.witness.text}) + "\n" for pc in gen(base, budget))
+
+
+_UNIT = Window(0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("argv, gen, base, budget", [
+    (("generate", "--mode", "packing", "--base", LOCATED_BASE,
+      "--max-curvature", "1000"), generate_packing,
+     locate_in_unit_square((-1, 2, 2, 3)), EnumerationBudget(1000)),
+    (("generate", "--mode", "super", "--window", "0,1,0,1",
+      "--max-curvature", "100"), generate_superpacking, W_STANDARD,
+     EnumerationBudget(100, window=_UNIT)),
+    (("generate", "--mode", "super", "--base", SHIFTED_BASE,
+      "--window", "0,1,0,1", "--max-curvature", "60"), generate_superpacking,
+     tuple(translate_row(r, Fraction(1, 3), Fraction(1, 7))
+           for r in W_STANDARD), EnumerationBudget(60, window=_UNIT)),
+], ids=["packing", "super", "super-fraction-base"])
+def test_generate_lines_match_json_dumps(capsys, argv, gen, base, budget):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.count("\n") > 100
+    assert out == _reference_generate_output(gen, base, budget)
