@@ -1,8 +1,9 @@
 """Command line interface for exact Apollonian packing computations.
 
 Every subcommand reads exact rationals ("3", "-1/2") and writes JSON (or
-CSV for the census).  Exit codes: 0 success, 1 domain error, 2 usage,
-141 the reader closed standard output (as for a process killed by SIGPIPE).
+CSV for the census).  Exit codes: 0 success, 1 domain or file error,
+2 usage, 141 the reader closed standard output (as for a process killed
+by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import verify as verify_mod
 from .classify import (orbit_census, reduce_to_ground, reduced_form,
                        root_quadruple, super_integrality_class)
 from .complete import complete, strong_integrality_from_three
-from .core import (GasketError, W_STANDARD, canon, descartes_defect, divisor,
-                   orientation, validate_quadruple)
+from .core import (Circle, GasketError, W_STANDARD, descartes_defect,
+                   divisor, orientation, validate_quadruple)
 from .packing import (EnumerationBudget, Window, generate_packing,
                       generate_superpacking, locate_in_unit_square)
 from .serialize import (circle_from_json, matrix_from_json, matrix_to_json,
@@ -194,13 +194,9 @@ def cmd_render(args) -> int:
 
 def cmd_locate(args) -> int:
     w = locate_in_unit_square(_quadruple(args))
-    a = min(r[1] for r in w)
-    idx = next(i for i in range(4) if w[i][1] == a)
-    cx = Fraction(w[idx][2]) / a
-    cy = Fraction(w[idx][3]) / a
+    center = Circle(*min(w, key=lambda r: r[1])).center()
     out = {"matrix": matrix_to_json(w),
-           "largest_circle_center": [scalar_to_str(canon(cx)),
-                                     scalar_to_str(canon(cy))]}
+           "largest_circle_center": [scalar_to_str(x) for x in center]}
     print(json.dumps(out, indent=2))
     return 0
 
@@ -296,10 +292,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Point stdout at devnull so the flush at interpreter exit is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except GasketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (GasketError, OSError, ValueError) as exc:
+        # ValueError covers json.JSONDecodeError; OSError, a file that
+        # cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

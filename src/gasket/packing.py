@@ -22,8 +22,20 @@ Each branch therefore carries a rectangular region (possibly unbounded)
 that contains all circles it can still emit, and is cut when the region
 misses the requested window.  Region bounds are exact rationals kept as
 ``(num, den)`` pairs with ``den > 0`` and compared by cross-multiplying,
-and the window test works over the window's common denominator, so an
-integer base is enumerated in integer arithmetic alone.
+and the window test works over the window's common denominator.
+
+Every base runs in integer arithmetic alone.  The generators act on rows
+by integer matrices, so every row in the orbit of a base lies in
+(1/D) Z^4, with D the lcm of the base's denominators.  Rows are carried
+scaled by D, an integer base being the case D = 1: a scaled row
+(B', B, X, Y) has the invariant B' B = X^2 + Y^2 - D^2, a disk's box is
+((X -+ D)/B, (Y -+ D)/B), an axis-parallel line has normal (0, +-D) or
+(+-D, 0) and offset B'/(2D), and the ground walk's tangency point, of
+degree 0 in D, is unchanged.  The curvature bound is the one integer
+floor(max_curvature D).  A circle nested in one of scaled curvature at
+least that bound has a larger integer curvature, so it is past the bound.
+Dedup and the final sort run on scaled rows, whose order is that of the
+rows since D > 0, and a row is divided by D only when it is stored.
 
 One step pays only for the children it keeps.  Each frontier entry
 carries its matrix's column sums c, so a swap's new curvature
@@ -34,15 +46,11 @@ the bound is dropped as a scalar.  A kept swap builds one row,
 c + 4 row_i.  Words are parent links, (letter, parent cell), with the
 length and the transpose count (the depth) carried beside them, and a
 letter tuple is built only for a witness that is stored.  The base is
-validated once, and the group maps an integer augmented matrix to integer
-ones whose rows keep the row invariant, so an integer base needs no
-``canon`` per step.  A rational base is canonicalized entry by entry in
-the same loop, so every stored row is canonical: it gets one exact
-invariant test and becomes a circle as it is.  A circle keeps the first
-witness offered, the first shortest normal-form word in ``_NEXT_LETTERS``
-order.  No two words were seen to offer one row (all words from
-``W_STANDARD`` of up to 11 swaps, or of up to 7 letters with transposes);
-that is evidence, not a proof.
+validated once, and a stored row gets one exact invariant test.  A
+circle keeps the first witness offered, the first shortest normal-form
+word in ``_NEXT_LETTERS`` order.  No two words were seen to offer one
+row (all words from ``W_STANDARD`` of up to 11 swaps, or of up to 7
+letters with transposes); that is evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -55,7 +63,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import (Circle, GasketError, InvalidCircleError, Matrix, Row,
                    Scalar, W_STANDARD, canon, canon_matrix, canon_row,
-                   divisor, orientation, scalars_text, validate_augmented)
+                   divisor, orientation, quotient, scalars_text,
+                   validate_augmented)
 from .classify import _ground_runs, _replay, is_root_quadruple, root_quadruple
 from .group import ALL_LETTERS, GeneratorLetter, GroupWord, is_normal_form
 
@@ -148,50 +157,54 @@ def _window_box(w: Window) -> Box:
     return ((x0, d), (x1, d), (y0, d), (y1, d))
 
 
-def _circle_bbox(row: Row) -> Box:
-    """Bounding box of a positive-curvature circle's disk."""
+def _circle_bbox(row: Row, scale: int = 1) -> Box:
+    """Bounding box of a positive-curvature circle's disk; the row is
+    scaled by ``scale``."""
     bbar, b, bx, by = row
-    return ((bx - 1, b), (bx + 1, b), (by - 1, b), (by + 1, b))
+    return ((bx - scale, b), (bx + scale, b), (by - scale, b), (by + scale, b))
 
 
-def _line_halfplane_box(row: Row) -> Box:
-    """Bounding box of a line's interior half plane; exact only when the
-    line is axis parallel, otherwise the full plane."""
+def _line_halfplane_box(row: Row, scale: int = 1) -> Box:
+    """Bounding box of a line's interior half plane, for a row scaled by
+    ``scale``; exact only when the line is axis parallel, otherwise the
+    full plane."""
     bbar, b, nx, ny = row
-    if nx == 0 and ny == 1:
-        return (None, None, (bbar, 2), None)
-    if nx == 0 and ny == -1:
-        return (None, None, None, (-bbar, 2))
-    if ny == 0 and nx == 1:
-        return ((bbar, 2), None, None, None)
-    if ny == 0 and nx == -1:
-        return (None, (-bbar, 2), None, None)
+    if nx == 0 and ny == scale:
+        return (None, None, (bbar, 2 * scale), None)
+    if nx == 0 and ny == -scale:
+        return (None, None, None, (-bbar, 2 * scale))
+    if ny == 0 and nx == scale:
+        return ((bbar, 2 * scale), None, None, None)
+    if ny == 0 and nx == -scale:
+        return (None, (-bbar, 2 * scale), None, None)
     return FULL_PLANE
 
 
-def window_touches(row: Row, window: Window) -> bool:
+def window_touches(row: Row, window: Window, scale: int = 1) -> bool:
     """Closed intersection test between a row's disk (for circles) or
     line (for b = 0) and the window rectangle.  Orientation-independent:
-    a row and its negation describe the same geometric object.  Everything
-    is cross-multiplied by the window's common denominator D (and by |b|
-    for a circle), so integer rows need no rational arithmetic."""
+    a row and its negation describe the same geometric object.  The row
+    may be scaled by a positive integer ``scale``.  Everything is
+    cross-multiplied by the window's common denominator D (and by |b| for
+    a circle), so integer rows need no rational arithmetic."""
     bbar, b, bx, by = row
     x0, x1, y0, y1, d = window.scaled
     if b == 0:
         # The line {p . n = bbar/2} meets the rectangle iff the corner
-        # values of D p . n straddle D bbar/2.
+        # values of D p . n straddle D bbar/2; both sides carry the scale.
         lo = min(bx * x0, bx * x1) + min(by * y0, by * y1)
         hi = max(bx * x0, bx * x1) + max(by * y0, by * y1)
         return 2 * lo <= bbar * d <= 2 * hi
     # In units of 1/(|b| D): the centre is sign(b) (bx, by) D, the window
-    # is |b| times the scaled one, and the radius is D.
+    # is |b| times the scaled one, and the radius is D times the scale.
     a = abs(b)
     if b < 0:
         bx, by = -bx, -by
     cx, cy = bx * d, by * d
     ex = cx - min(max(cx, x0 * a), x1 * a)
     ey = cy - min(max(cy, y0 * a), y1 * a)
-    return ex * ex + ey * ey <= d * d
+    r = d * scale
+    return ex * ex + ey * ey <= r * r
 
 
 # The letters that may follow each last letter (None at the start), in
@@ -223,7 +236,6 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
         raise GasketError("base matrix is not a tangent quadruple")
     if orientation(tuple(r[1] for r in w0)) < 0:
         raise GasketError("enumeration needs a positively oriented base")
-    maxcurv = budget.max_curvature
     maxlen = budget.max_word_length
     window = budget.window
     wbox = _window_box(window) if window is not None else None
@@ -240,26 +252,30 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
             raise EnumerationError(
                 "packings containing lines need a window or a word-length"
                 " bound: they extend along the lines forever")
-    # The group keeps integer rows integral, so an integer base needs no
-    # canon per step; a rational one is canonicalized as it goes.
-    exact = all(type(x) is int for r in w0 for x in r)
+    # Rows are carried as integers scaled by the lcm of the base's
+    # denominators; the group keeps them integral.  Scaled curvatures are
+    # integers, so the bound is one int.
+    scale = math.lcm(*(x.denominator for r in w0 for x in r))
+    w0 = tuple(tuple(x.numerator * (scale // x.denominator) for x in r)
+               for r in w0)
+    cap = math.floor(budget.max_curvature * scale)
 
     emitted: Dict[Row, PackedCircle] = {}
 
     def emit(row: Row, cell, depth: int):
-        if window is not None and not window_touches(row, window):
+        if window is not None and not window_touches(row, window, scale):
             return
         # Keep the first witness, which breadth-first order offers at the
         # shortest length, and one orientation of each circle.
         bbar, b, bx, by = row
         if row in emitted or (-bbar, -b, -bx, -by) in emitted:
             return
-        # Rows are canonical here, so the invariant is tested on them as
-        # they are; b = 0 makes it a unit normal for a line.
-        if bbar * b != bx * bx + by * by - 1:
+        # The scaled invariant; b = 0 makes it a normal of length scale.
+        out = row if scale == 1 else tuple(quotient(x, scale) for x in row)
+        if bbar * b != bx * bx + by * by - scale * scale:
             raise InvalidCircleError(
-                f"row invariant fails for {scalars_text(row)}")
-        emitted[row] = PackedCircle(Circle(*row), depth,
+                f"row invariant fails for {scalars_text(out)}")
+        emitted[row] = PackedCircle(Circle(*out), depth,
                                     GroupWord(_letters(cell)))
 
     for row in w0:
@@ -287,15 +303,13 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
             region2 = region
             if l.kind == "s":
                 b_new = 2 * c1 - 3 * b_old
-                keep = abs(b_new) <= maxcurv
+                keep = abs(b_new) <= cap
                 if not keep and b_new >= b_old:
                     continue  # away move past the bound: subtree only grows
                 new_row = (2 * c0 - 3 * x0, b_new, 2 * c2 - 3 * x2,
                            2 * c3 - 3 * x3)
                 child_cs = (3 * c0 - 4 * x0, 3 * c1 - 4 * b_old,
                             3 * c2 - 4 * x2, 3 * c3 - 4 * x3)
-                if not exact:
-                    new_row, child_cs = canon_row(new_row), canon_row(child_cs)
                 child_cell = (l, cell)
                 if keep:
                     emit(new_row, child_cell, depth)
@@ -325,13 +339,14 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                     if region2 is None:
                         continue
             else:
-                if b_old > 0 and b_old >= maxcurv:
+                if b_old > 0 and b_old >= cap:
                     continue  # everything nested inside exceeds the bound
                 if b_old > 0:
-                    region2 = _box_intersect(region, _circle_bbox(wm[i]))
-                elif b_old == 0:
                     region2 = _box_intersect(region,
-                                             _line_halfplane_box(wm[i]))
+                                             _circle_bbox(wm[i], scale))
+                elif b_old == 0:
+                    region2 = _box_intersect(
+                        region, _line_halfplane_box(wm[i], scale))
                 if region2 is None:
                     continue
                 # t_i adds twice row i to every other row and negates it.
@@ -341,13 +356,11 @@ def _enumerate(base: Matrix, budget: EnumerationBudget,
                 rows[i] = (-x0, -b_old, -x2, -x3)
                 child_cs = (c0 + 2 * y0, c1 + 2 * y1, c2 + 2 * y2,
                             c3 + 2 * y3)
-                if not exact:
-                    rows, child_cs = canon_matrix(rows), canon_row(child_cs)
                 child = tuple(rows)
                 child_cell = (l, cell)
                 child_depth = depth + 1
                 for k in range(4):
-                    if k != i and abs(child[k][1]) <= maxcurv:
+                    if k != i and abs(child[k][1]) <= cap:
                         emit(child[k], child_cell, child_depth)
             # The parent's region meets the window, so only a narrowed
             # region needs the test.

@@ -17,6 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import GasketError, Row, Scalar, canon
 from .packing import PackedCircle, Window, transform_row
+from .serialize import scalar_to_str
 
 
 SIG_DIGITS = 20
@@ -169,15 +170,9 @@ def render_svg(circles: Iterable[PackedCircle], options: RenderOptions) -> str:
                 f'<text x="{cx}" y="{cy}" '
                 f'font-size="{_dec(SCALE, 2 * abs(b))}" '
                 'text-anchor="middle" dominant-baseline="middle">'
-                f'{_label(b)}</text>')
+                f'{scalar_to_str(b)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _label(b: Scalar) -> str:
-    if b.denominator == 1:
-        return str(b.numerator)
-    return f"{b.numerator}/{b.denominator}"
 
 
 # ---------------------------------------------------------------------------

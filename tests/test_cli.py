@@ -194,6 +194,15 @@ def test_render_deterministic_and_file_output(tmp_path, capsys):
     assert target.read_text() == out1
 
 
+def test_unwritable_output_path_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    code, out, err = run(capsys, "render", "--window", "0,1,0,1",
+                         "--max-curvature", "5", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_locate(capsys):
     code, out, _ = run(capsys, "locate", "-6", "11", "14", "15")
     assert code == 0
@@ -360,7 +369,8 @@ SHIFTED_BASE = json.dumps(matrix_to_json(
 
 # Outputs on inputs that are not integer rows or not integer windows, pinned
 # by digest: a fractional base, a fractional window, labels of a fractional
-# curvature and a window whose corners have different denominators.
+# curvature, a window whose corners have different denominators, and a
+# fractional bound on a base with halves, where 2 * 61/4 is not an integer.
 @pytest.mark.parametrize("argv, digest", [
     (("generate", "--mode", "super", "--base", SHIFTED_BASE,
       "--window", "0,1,0,1", "--max-curvature", "60"),
@@ -375,8 +385,13 @@ SHIFTED_BASE = json.dumps(matrix_to_json(
     (("render", "--window=-5/2,1/2,-1/3,7/3", "--max-curvature", "50",
       "--depth-shade", "--labels"),
      "4ad0520a6c915de200c09fc547d7e51dfb0d5f9c88ce94da8f30df4583262930"),
+    (("generate", "--mode", "super", "--base", '[["4","0","0","1"],'
+      '["4","0","0","-1"],["0","1/2","1","0"],["0","1/2","-1","0"]]',
+      "--window", "0,2,0,2", "--max-curvature", "61/4"),
+     "a1bef1fb3695d984f34eb9db181904640184d0a08b0a1874d95be09292a82fbe"),
 ], ids=["generate-fraction-base", "render-fraction-window",
-        "render-half-curvature-labels", "render-mixed-denominators"])
+        "render-half-curvature-labels", "render-mixed-denominators",
+        "generate-half-curvature-fraction-bound"])
 def test_rational_inputs_match_pinned_digests(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""

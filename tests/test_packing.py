@@ -1,5 +1,6 @@
 """Enumeration of packings and super-packings, nesting, and location."""
 
+import math
 import sys
 from collections import deque
 from fractions import Fraction
@@ -210,8 +211,14 @@ def test_window_touches_matches_rational_reference(win, kind, data):
     else:
         nx, ny = data.draw(st.sampled_from(_NORMALS))
         row = (2 * data.draw(_COORDS), 0, nx, ny)
-    for r in both_orientations(row):
+    # The same row scaled to integers by a multiple k of its entries' lcm
+    # denominator.
+    k = data.draw(st.integers(1, 3))
+    scale = k * math.lcm(*(Fraction(v).denominator for v in row))
+    scaled = tuple(int(v * scale) for v in row)
+    for r, rs in zip(both_orientations(row), both_orientations(scaled)):
         assert window_touches(r, win) == touches_reference(r, win)
+        assert window_touches(rs, win, scale) == window_touches(r, win)
 
 
 @settings(max_examples=200)
@@ -492,7 +499,9 @@ def small_windows(draw):
        st.one_of(st.just((0, 0)), st.tuples(_SHIFTS, _SHIFTS)),
        st.one_of(st.none(), small_windows()),
        st.one_of(st.none(), st.integers(0, 6)),
-       st.integers(1, 16), st.booleans(), st.booleans())
+       st.one_of(st.integers(1, 16),
+                 st.fractions(Fraction(1, 7), 16, max_denominator=7)),
+       st.booleans(), st.booleans())
 def test_enumeration_matches_reference_loop(base, word, shift, window,
                                             max_len, extra, above_base,
                                             super_moves):
@@ -541,20 +550,35 @@ def calls_counted(monkeypatch):
 
 def test_enumeration_work_does_not_grow_with_the_bound(calls_counted):
     located = locate_in_unit_square((-1, 2, 2, 3))
+    shifted = tuple(translate_row(r, Fraction(1, 3), Fraction(1, 7))
+                    for r in W_STANDARD)
     runs = ((generate_superpacking, W_STANDARD,
              [EnumerationBudget(b, window=UNIT_WINDOW) for b in (40, 100)]),
             (generate_packing, located,
-             [EnumerationBudget(b) for b in (200, 1000)]))
+             [EnumerationBudget(b) for b in (200, 1000)]),
+            (generate_superpacking, shifted,
+             [EnumerationBudget(b, window=UNIT_WINDOW) for b in (40, 100)]))
     for generate, base, budgets in runs:
         sizes, work = [], []
         for budget in budgets:
             before = dict(calls_counted)
             sizes.append(len(generate(base, budget)))
             work.append({k: calls_counted[k] - before[k] for k in before})
-        # Only the validation of the base calls these helpers, so the
-        # counts do not grow with the number of circles.
         assert sizes[1] > 4 * sizes[0]
-        assert work[0] == work[1]
+        if base is not shifted:
+            # Only the validation of the base calls these helpers, so the
+            # counts do not grow with the number of circles.
+            assert work[0] == work[1]
+            if base is W_STANDARD:
+                validation = work[0]
+            continue
+        # A rational base is validated as W_STANDARD is, then scaled to
+        # integers; only a stored row with a fractional entry calls canon,
+        # once per entry.
+        for k in ("act", "canon_row", "circle_from_row"):
+            assert work[0][k] == work[1][k] == validation[k]
+        for w, n in zip(work, sizes):
+            assert w["canon"] <= validation["canon"] + 4 * n
 
 
 def _cell(text):
